@@ -18,19 +18,17 @@ from typing import Sequence
 
 from . import __version__
 from .arrayfile import parse_array, serialize_array
-from .core import HeffterArray, reorder_columns, verify_heffter
+from .core import HeffterArray, _verify, reorder_columns
 from .embedding import (
     build_face_set,
     certify,
     develop_cycles,
-    derive_rotations,
     exact_pair_coverage,
     genus_closed_form,
     is_translation_closed,
 )
 from .errors import BudgetExceededError, HeffterError
 from .h3 import simple_h3
-from .modmath import partial_sums
 from .orderings import compatible_orderings
 from .search import SearchConfig, brute_force_oracle, find_simple_column_permutation, generate_heffter
 
@@ -49,8 +47,7 @@ def _load_array(path: str) -> HeffterArray:
 
 
 def _verify_doc(H: HeffterArray) -> dict:
-    v = H.modulus
-    report = verify_heffter(H)
+    report, row_sums, col_sums = _verify(H)
     return {
         "array": _array_meta(H),
         "row_sum_ok": list(report.row_sum_ok),
@@ -60,8 +57,8 @@ def _verify_doc(H: HeffterArray) -> dict:
         "col_simple": list(report.col_simple),
         "is_heffter": report.is_heffter,
         "is_simple": report.is_simple,
-        "row_partial_sums": [partial_sums(H.row(i), v) for i in range(H.m)],
-        "col_partial_sums": [partial_sums(H.column(j), v) for j in range(H.n)],
+        "row_partial_sums": row_sums,
+        "col_partial_sums": col_sums,
     }
 
 
@@ -118,7 +115,7 @@ def _cmd_develop(args: argparse.Namespace) -> int:
         "v": system.v,
         "k": system.k,
         "cycle_count": len(system.cycles),
-        "base_cycles": [list(c) for c in system.cycles[: len(parts)]],
+        "base_cycles": [list(c) for c in system.cycles[::v]],
         "developed": f"translates mod {v}",
         "pair_coverage_ok": coverage,
         "translation_closed": closed,
@@ -133,7 +130,6 @@ def _cmd_embed(args: argparse.Namespace) -> int:
     H = _load_array(args.file)
     pair = compatible_orderings(H)
     face_set = build_face_set(H, pair)
-    derive_rotations(face_set)
     cert = certify(face_set)
     doc = {
         "array": _array_meta(H),

@@ -9,10 +9,11 @@ top to bottom; no other orders are ever used by the verifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence
 
 from .errors import InvalidEntryError, InvalidPermutationError
-from .modmath import is_canonical, is_half_set, is_simple
+from .modmath import _is_half_set, _is_simple, _partial_sums, half_bound
 
 MIN_DIMENSION = 3  # everything in scope has at least 3 rows and 3 columns
 
@@ -37,9 +38,10 @@ class HeffterArray:
         if min(widths) < MIN_DIMENSION:
             raise InvalidEntryError(f"need at least {MIN_DIMENSION} columns")
         v = self.modulus
+        bound = half_bound(v)
         for i, row in enumerate(self.cells):
             for j, x in enumerate(row):
-                if not is_canonical(x, v):
+                if x == 0 or not -bound <= x <= bound:
                     raise InvalidEntryError(
                         f"cell ({i + 1},{j + 1}) = {x} is not a canonical "
                         f"nonzero residue mod {v}"
@@ -100,24 +102,32 @@ class VerificationReport:
 
 def verify_heffter(H: HeffterArray) -> VerificationReport:
     """Check every Heffter axiom of H and report each flag separately."""
+    return _verify(H)[0]
+
+
+def _verify(H: HeffterArray) -> tuple[VerificationReport, list[list[int]], list[list[int]]]:
+    """The report plus the row and column partial sums it was read from.
+
+    A line sums to 0 iff its last partial sum is 0, and is simple iff its
+    partial sums are distinct, so each line is summed exactly once.
+    """
     v = H.modulus
-    rows = [H.row(i) for i in range(H.m)]
-    cols = [H.column(j) for j in range(H.n)]
-    return VerificationReport(
-        row_sum_ok=tuple(sum(r) % v == 0 for r in rows),
-        col_sum_ok=tuple(sum(c) % v == 0 for c in cols),
-        half_set_ok=is_half_set(H.entries(), v),
-        row_simple=tuple(is_simple(r, v) for r in rows),
-        col_simple=tuple(is_simple(c, v) for c in cols),
+    row_sums = [_partial_sums(row, v) for row in H.cells]
+    col_sums = [_partial_sums(col, v) for col in zip(*H.cells)]
+    report = VerificationReport(
+        row_sum_ok=tuple(s[-1] == 0 for s in row_sums),
+        col_sum_ok=tuple(s[-1] == 0 for s in col_sums),
+        half_set_ok=_is_half_set(list(H.entries()), v),
+        row_simple=tuple(len(set(s)) == len(s) for s in row_sums),
+        col_simple=tuple(len(set(s)) == len(s) for s in col_sums),
     )
+    return report, row_sums, col_sums
 
 
 def is_simple_array(H: HeffterArray) -> bool:
     """True iff every row and every column of H has distinct partial sums."""
     v = H.modulus
-    return all(is_simple(H.row(i), v) for i in range(H.m)) and all(
-        is_simple(H.column(j), v) for j in range(H.n)
-    )
+    return all(_is_simple(line, v) for line in chain(H.cells, zip(*H.cells)))
 
 
 def check_permutation(order: Sequence[int], n: int) -> tuple[int, ...]:

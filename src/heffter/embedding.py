@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import HeffterArray
 from .errors import (
@@ -33,15 +33,15 @@ from .errors import (
     OrderingMismatchError,
     PinchPointError,
 )
-from .modmath import is_half_set, partial_sums
-from .orderings import CompatibleOrderingPair
+from .modmath import _partial_sums, is_half_set
+from .orderings import CompatibleOrderingPair, orbit
 
 Walk = tuple[int, ...]
 
 
 def _base_walk(part: Sequence[int], v: int) -> Walk:
     """(0, s_1, ..., s_{k-1}) for a zero-sum simply ordered part."""
-    sums = partial_sums(part, v)
+    sums = _partial_sums(part, v)
     if sums[-1] != 0:
         raise NotHeffterError(f"part {tuple(part)} does not sum to 0 mod {v}")
     if len(set(sums)) != len(sums):
@@ -68,7 +68,12 @@ def develop_cycles(parts: Sequence[Sequence[int]], v: int) -> CycleSystem:
     """Develop a simply ordered Heffter system into a cyclic k-cycle system.
 
     The parts must partition a half-set of Z_v, share one length k, each sum
-    to 0 mod v, and each be simply ordered.
+    to 0 mod v, and each be simply ordered.  The v translates of each base
+    cycle are listed in order, base by base, without de-duplication: all
+    are distinct.  A translate fixing a k-cycle has order dividing
+    gcd(k, v) = 1, because the half-set count makes k divide (v-1)/2; and
+    translates of different bases differ, since their difference sets are
+    disjoint.
     """
     if not parts:
         raise NotHeffterError("no parts given")
@@ -79,31 +84,31 @@ def develop_cycles(parts: Sequence[Sequence[int]], v: int) -> CycleSystem:
         raise NotHeffterError(f"parts do not partition a half-set of Z_{v}")
     k = lengths.pop()
     bases = [_base_walk(p, v) for p in parts]
-    cycles: list[Walk] = []
-    seen: set[Walk] = set()
+    return CycleSystem(v=v, k=k, cycles=tuple(_translates(bases, v)))
+
+
+def _translates(bases: Iterable[Walk], v: int) -> Iterator[Walk]:
+    """The v translates x -> x + t of each base walk, base by base."""
     for base in bases:
         for t in range(v):
-            translate = tuple((x + t) % v for x in base)
-            key = _canonical_rotation(translate)
-            if key not in seen:
-                seen.add(key)
-                cycles.append(translate)
-    return CycleSystem(v=v, k=k, cycles=tuple(cycles))
+            yield tuple((x + t) % v for x in base)
 
 
-def _cycle_edges(cycle: Walk) -> Iterator[tuple[int, int]]:
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        yield (a, b) if a < b else (b, a)
+def _covers_each_pair_once(walks: Iterable[Walk], v: int) -> bool:
+    """True iff every pair of Z_v is an edge of exactly one closed walk."""
+    edges: set[tuple[int, int]] = set()
+    for walk in walks:
+        for a, b in zip(walk, walk[1:] + walk[:1]):
+            edge = (a, b) if a < b else (b, a)
+            if edge in edges:
+                return False
+            edges.add(edge)
+    return len(edges) == v * (v - 1) // 2
 
 
 def exact_pair_coverage(system: CycleSystem) -> bool:
     """Brute-force check that every pair of Z_v is an edge of exactly one cycle."""
-    counts: dict[tuple[int, int], int] = {}
-    for cycle in system.cycles:
-        for edge in _cycle_edges(cycle):
-            counts[edge] = counts.get(edge, 0) + 1
-    v = system.v
-    return len(counts) == v * (v - 1) // 2 and set(counts.values()) == {1}
+    return _covers_each_pair_once(system.cycles, system.v)
 
 
 def is_translation_closed(system: CycleSystem) -> bool:
@@ -134,14 +139,10 @@ class FaceSet:
         yield from self.col_faces()
 
     def row_faces(self) -> Iterator[Walk]:
-        for base in self.row_bases:
-            for t in range(self.v):
-                yield tuple((x + t) % self.v for x in base)
+        return _translates(self.row_bases, self.v)
 
     def col_faces(self) -> Iterator[Walk]:
-        for base in self.col_bases:
-            for t in range(self.v):
-                yield tuple((x + t) % self.v for x in base)
+        return _translates(self.col_bases, self.v)
 
     @property
     def face_count(self) -> int:
@@ -166,14 +167,11 @@ def _arc_counts(v: int, faces: Iterator[Walk]) -> bytearray:
 
 
 def _check_arc_exactness(v: int, faces: Iterator[Walk]) -> None:
-    counts = _arc_counts(v, faces)
+    counts = _arc_counts(v, faces)  # raises on a loop arc, so the diagonal is 0
     for u in range(v):
         for w in range(v):
             c = counts[u * v + w]
-            if u == w:
-                if c:
-                    raise NotAnEmbeddingError(f"loop arc at vertex {u}")
-            elif c != 1:
+            if c != 1 and u != w:
                 raise NotAnEmbeddingError(
                     f"arc ({u},{w}) lies on {c} faces, expected exactly 1"
                 )
@@ -222,13 +220,7 @@ class RotationSystem:
     def rotation_cycle(self, u: int) -> Walk:
         """The single cycle of neighbors at vertex u."""
         succ = self.successors[u]
-        start = next(iter(succ))
-        out = [start]
-        cur = succ[start]
-        while cur != start:
-            out.append(cur)
-            cur = succ[cur]
-        return tuple(out)
+        return orbit(succ, next(iter(succ)))
 
 
 def derive_rotations(F: FaceSet) -> RotationSystem:
@@ -256,12 +248,7 @@ def derive_rotations(F: FaceSet) -> RotationSystem:
             raise InconsistentRotationError(
                 f"successor map at vertex {u} is not a permutation of its neighbors"
             )
-        start = next(iter(succ[u]))
-        length = 1
-        cur = succ[u][start]
-        while cur != start:
-            cur = succ[u][cur]
-            length += 1
+        length = len(orbit(succ[u], next(iter(succ[u]))))
         if length != v - 1:
             raise PinchPointError(
                 f"rotation at vertex {u} splits (orbit {length} of {v - 1})"
@@ -311,19 +298,6 @@ class EmbeddingCertificate:
         )
 
 
-def _edge_once_per_color(F: FaceSet) -> bool:
-    """Each undirected edge of K_v on exactly one face of each color."""
-    v = F.v
-    for faces in (F.row_faces(), F.col_faces()):
-        counts: dict[tuple[int, int], int] = {}
-        for walk in faces:
-            for edge in _cycle_edges(walk):
-                counts[edge] = counts.get(edge, 0) + 1
-        if len(counts) != v * (v - 1) // 2 or set(counts.values()) != {1}:
-            return False
-    return True
-
-
 def certify(F: FaceSet) -> EmbeddingCertificate:
     """Exhaustively certify a face set and compute the genus of its surface.
 
@@ -335,7 +309,10 @@ def certify(F: FaceSet) -> EmbeddingCertificate:
     v = F.v
     _check_arc_exactness(v, F.faces())
     derive_rotations(F)  # raises on pinch points / inconsistencies
-    bicolor = _edge_once_per_color(F)
+    # Each undirected edge of K_v on exactly one face of each color.
+    bicolor = _covers_each_pair_once(F.row_faces(), v) and _covers_each_pair_once(
+        F.col_faces(), v
+    )
     vertices = v
     edges = v * (v - 1) // 2
     faces = F.face_count

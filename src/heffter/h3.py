@@ -20,10 +20,12 @@ explicit reordering because the general residue-0 tail differs from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from typing import Callable, Iterable
 
 from .core import HeffterArray, from_rows, reorder_columns
 from .errors import OutOfRangeError, UnsupportedError
-from .modmath import canon
+from .modmath import _canon_all
 
 Lin = tuple[int, int]  # (a, b) -> a*m + b
 LinR = tuple[int, int, int]  # (a, b, c) -> a*m + b*r + c
@@ -606,7 +608,7 @@ def construct_raw_h3(n: int) -> HeffterArray:
         sign = -1 if r % 2 else 1
         for i in range(3):
             rows[i].extend(sign * (a * m + b * r + c) for a, b, c in case.repeat[i])
-    return from_rows([[canon(x, v) for x in row] for row in rows])
+    return from_rows([_canon_all(row, v) for row in rows])
 
 
 def standard_reordering(n: int) -> tuple[int, ...]:
@@ -636,14 +638,13 @@ def simple_h3(n: int) -> HeffterArray:
     return reorder_columns(construct_raw_h3(n), standard_reordering(n))
 
 
-def _atom_values(atom: Atom, m: int, v: int) -> list[int]:
-    kind = atom[0]
-    if kind == "s":
-        return [_lin(atom[1], m) % v]
-    lo = _lin(atom[1], m)
-    hi = _lin(atom[2], m)
-    step = 2 if kind == "i2" else 1
-    return [x % v for x in range(lo, hi + 1, step)]
+def _instantiate(atoms: Iterable[Atom], m: int, v: int) -> frozenset[int]:
+    """The residues mod v of a union of atoms at scale m; ("s", x) is [x, x]."""
+    out: set[int] = set()
+    for atom in atoms:
+        step = 2 if atom[0] == "i2" else 1
+        out.update(x % v for x in range(_lin(atom[1], m), _lin(atom[-1], m) + 1, step))
+    return frozenset(out)
 
 
 def _table_support(n: int) -> tuple[_Case, int]:
@@ -665,6 +666,16 @@ def _table_support(n: int) -> tuple[_Case, int]:
     return case, m
 
 
+def _row_table(n: int, row: int, atoms: Callable[[_Case], Iterable[Atom]]) -> frozenset[int]:
+    """Row 1..3's partial-sum table at n, built from the atoms of n's class."""
+    if row not in (1, 2, 3):
+        raise OutOfRangeError(f"row must be 1..3, got {row}")
+    if n == 8:
+        return SUMS8[row - 1]
+    case, m = _table_support(n)
+    return _instantiate(atoms(case), m, 6 * n + 1)
+
+
 def predicted_row_sums(n: int, row: int) -> frozenset[int]:
     """The printed partial-sum set for row 1..3 of the reordered array.
 
@@ -673,17 +684,7 @@ def predicted_row_sums(n: int, row: int) -> frozenset[int]:
     corrections are available via :func:`table_errata`.  n = 8 returns the
     printed literal sets.
     """
-    if row not in (1, 2, 3):
-        raise OutOfRangeError(f"row must be 1..3, got {row}")
-    if n == 8:
-        return SUMS8[row - 1]
-    case, m = _table_support(n)
-    v = 6 * n + 1
-    out: set[int] = set()
-    for group in case.sums[row - 1]:
-        for atom in group:
-            out.update(_atom_values(atom, m, v))
-    return frozenset(out)
+    return _row_table(n, row, lambda case: chain.from_iterable(case.sums[row - 1]))
 
 
 # Known misprints in the published partial-sum tables, established by
@@ -731,11 +732,12 @@ TABLE_ERRATA: dict[tuple[int, int], tuple[str, tuple[Atom, ...], tuple[Atom, ...
 }
 
 
+_NO_ERRATA: tuple[str, tuple[Atom, ...], tuple[Atom, ...]] = ("", (), ())
+
+
 def _corrected_atoms(case: _Case, residue: int, row: int) -> list[Atom]:
     """Printed atoms with the documented errata applied."""
-    entry = TABLE_ERRATA.get((residue, row))
-    missing_atoms: tuple[Atom, ...] = entry[1] if entry else ()
-    spurious_atoms: tuple[Atom, ...] = entry[2] if entry else ()
+    _, missing_atoms, spurious_atoms = TABLE_ERRATA.get((residue, row), _NO_ERRATA)
     atoms = [a for g in case.sums[row - 1] for a in g if a not in spurious_atoms]
     atoms.extend(missing_atoms)
     return atoms
@@ -747,16 +749,7 @@ def corrected_row_sums(n: int, row: int) -> frozenset[int]:
     Equals the true partial-sum set of row 1..3 of ``simple_h3(n)``; the
     uncorrected prediction is :func:`predicted_row_sums`.
     """
-    if row not in (1, 2, 3):
-        raise OutOfRangeError(f"row must be 1..3, got {row}")
-    if n == 8:
-        return SUMS8[row - 1]
-    case, m = _table_support(n)
-    v = 6 * n + 1
-    out: set[int] = set()
-    for atom in _corrected_atoms(case, n % 8, row):
-        out.update(_atom_values(atom, m, v))
-    return frozenset(out)
+    return _row_table(n, row, lambda case: _corrected_atoms(case, n % 8, row))
 
 
 def table_errata(n: int, row: int) -> tuple[frozenset[int], frozenset[int]]:
@@ -771,12 +764,7 @@ def table_errata(n: int, row: int) -> tuple[frozenset[int], frozenset[int]]:
     """
     if n == 8:
         return frozenset(), frozenset()
-    case, m = _table_support(n)
+    _, m = _table_support(n)
+    _, missing_atoms, spurious_atoms = TABLE_ERRATA.get((n % 8, row), _NO_ERRATA)
     v = 6 * n + 1
-    entry = TABLE_ERRATA.get((n % 8, row))
-    if entry is None:
-        return frozenset(), frozenset()
-    _, missing_atoms, spurious_atoms = entry
-    missing = {x for atom in missing_atoms for x in _atom_values(atom, m, v)}
-    spurious = {x for atom in spurious_atoms for x in _atom_values(atom, m, v)}
-    return frozenset(missing), frozenset(spurious)
+    return _instantiate(missing_atoms, m, v), _instantiate(spurious_atoms, m, v)

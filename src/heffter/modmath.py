@@ -4,10 +4,17 @@ A nonzero class of Z_v is stored as the unique integer in
 [-(v-1)/2, (v-1)/2] \\ {0}; a *half-set* is a set of (v-1)/2 such residues
 containing exactly one of {x, -x} for every pair.  Partial sums are reported
 as least nonnegative residues, so a zero-sum sequence always ends in 0.
+
+Validation contract: the public functions check the modulus and that every
+input is a canonical nonzero residue, computing the bound once per call.
+The ``_``-prefixed kernels check nothing; they assume canonical input, as
+found in a validated :class:`~heffter.core.HeffterArray`, and are what the
+package's own hot paths call.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import ModulusMismatchError, ZeroResidueError
@@ -31,20 +38,22 @@ def canon(x: int, v: int) -> int:
     and never appears in a half-set.
     """
     check_modulus(v)
-    r = x % v
-    if r == 0:
+    if x % v == 0:
         raise ZeroResidueError(f"{x} is congruent to 0 mod {v}")
-    return r if r <= half_bound(v) else r - v
+    return _canon_all((x,), v)[0]
 
 
-def is_canonical(x: int, v: int) -> bool:
-    return x != 0 and -half_bound(v) <= x <= half_bound(v)
+def _canon_all(seq: Iterable[int], v: int) -> list[int]:
+    """Canonical representatives of seq; a multiple of v becomes 0."""
+    bound = half_bound(v)
+    return [r if r <= bound else r - v for r in (x % v for x in seq)]
 
 
 def _require_canonical(seq: Iterable[int], v: int) -> None:
     check_modulus(v)
+    bound = half_bound(v)
     for x in seq:
-        if not is_canonical(x, v):
+        if x == 0 or not -bound <= x <= bound:
             raise ModulusMismatchError(
                 f"{x} is not a canonical nonzero residue mod {v}"
             )
@@ -58,8 +67,11 @@ def is_half_set(elements: Iterable[int], v: int) -> bool:
     """
     members = list(elements)
     _require_canonical(members, v)
-    absolutes = {abs(x) for x in members}
-    return len(members) == half_bound(v) and len(absolutes) == len(members)
+    return _is_half_set(members, v)
+
+
+def _is_half_set(members: Sequence[int], v: int) -> bool:
+    return len(members) == half_bound(v) and len({abs(x) for x in members}) == len(members)
 
 
 def partial_sums(seq: Sequence[int], v: int) -> list[int]:
@@ -71,15 +83,19 @@ def partial_sums(seq: Sequence[int], v: int) -> list[int]:
     if not seq:
         raise ValueError("partial sums of an empty sequence are undefined")
     _require_canonical(seq, v)
-    sums = []
-    acc = 0
-    for x in seq:
-        acc = (acc + x) % v
-        sums.append(acc)
-    return sums
+    return _partial_sums(seq, v)
+
+
+def _partial_sums(seq: Iterable[int], v: int) -> list[int]:
+    return [s % v for s in accumulate(seq)]
 
 
 def is_simple(seq: Sequence[int], v: int) -> bool:
     """True iff all partial sums of seq are distinct mod v."""
     sums = partial_sums(seq, v)
+    return len(set(sums)) == len(sums)
+
+
+def _is_simple(seq: Sequence[int], v: int) -> bool:
+    sums = _partial_sums(seq, v)
     return len(set(sums)) == len(sums)

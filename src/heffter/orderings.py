@@ -28,7 +28,7 @@ from .errors import (
     OrderingMismatchError,
     SimplicityLostError,
 )
-from .modmath import is_simple
+from .modmath import _is_simple
 
 Cell = tuple[int, int]  # 0-based (row, column)
 
@@ -83,15 +83,7 @@ def compose(omega_r: CyclicOrdering, omega_c: CyclicOrdering) -> dict[Cell, Cell
 
 def is_single_cycle(perm: Mapping[T, T]) -> bool:
     """True iff the permutation has exactly one orbit covering its domain."""
-    if not perm:
-        return False
-    start = next(iter(perm))
-    seen = 1
-    cur = perm[start]
-    while cur != start:
-        cur = perm[cur]
-        seen += 1
-    return seen == len(perm)
+    return bool(perm) and len(orbit(perm, next(iter(perm)))) == len(perm)
 
 
 def orbit(perm: Mapping[T, T], start: T) -> tuple[T, ...]:
@@ -127,7 +119,7 @@ def _col_parts(m: int, n: int, reversed_from: int | None = None) -> tuple[tuple[
 def _check_parts_simple(ordering: CyclicOrdering, what: str) -> None:
     v = ordering.array.modulus
     for k, seq in enumerate(ordering.element_parts()):
-        if not is_simple(seq, v):
+        if not _is_simple(seq, v):
             raise SimplicityLostError(
                 f"{what} part {k + 1} has a repeated partial sum mod {v}"
             )

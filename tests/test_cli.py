@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ from heffter.arrayfile import parse_array, serialize_array
 from heffter.cli import main
 from heffter.errors import ArrayFormatError
 from heffter.h3 import construct_raw_h3, simple_h3
+from heffter.modmath import partial_sums
 
 H35_FILE = """heffter 3 5 31
 6 7 -10 -4 1
@@ -185,3 +189,110 @@ def test_cli_embed_rejects_even_by_even(tmp_path: Path, capsys) -> None:
     path = tmp_path / "h44.txt"
     path.write_text(serialize_array(H), encoding="ascii")
     assert main(["embed", "--file", str(path)]) == 1
+
+
+def _run(argv: list[str]) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _golden_corpus(tmp: Path) -> dict[str, tuple[int, str, str]]:
+    """Exit code, sha256 of stdout, and stderr of every command in a fixed corpus.
+
+    ``develop`` is hashed with its ``base_cycles`` key removed; that key is
+    checked structurally by its own test.
+    """
+    results: dict[str, tuple[int, str, str]] = {}
+
+    def record(name: str, argv: list[str]) -> str:
+        code, out, err = _run(argv)
+        hashed = out
+        if argv[0] == "develop" and code == 0:
+            doc = json.loads(out)
+            del doc["base_cycles"]
+            hashed = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        results[name] = (code, hashlib.sha256(hashed.encode()).hexdigest(), err)
+        return out
+
+    def array_file(name: str, text: str) -> str:
+        path = tmp / name
+        path.write_text(text, encoding="ascii")
+        return str(path)
+
+    for n in (3, 4, 5, 8, 13):
+        path = array_file(f"h3_{n}.txt", record(f"gen3 {n}", ["gen3", "--n", str(n)]))
+        for cmd in ("verify", "orderings", "embed"):
+            record(f"{cmd} {n}", [cmd, "--file", path])
+    record("embed --expand 4", ["embed", "--file", str(tmp / "h3_4.txt"), "--expand"])
+    record("develop --cols --expand 5", ["develop", "--file", str(tmp / "h3_5.txt"), "--cols", "--expand"])
+    raw6 = array_file("raw6.txt", serialize_array(construct_raw_h3(6)))
+    record("search --all raw6", ["search", "--file", raw6, "--all"])
+    record("search exhaustive raw6", ["search", "--file", raw6, "--strategy", "exhaustive"])
+    record("generate 5x4 seed 3", ["generate", "--m", "5", "--n", "4", "--seed", "3"])
+    # Failing inputs: a non-simple array and an out-of-range entry.
+    raw8 = array_file("raw8.txt", serialize_array(construct_raw_h3(8)))
+    for cmd in ("verify", "orderings", "embed"):
+        record(f"{cmd} raw8", [cmd, "--file", raw8])
+    record("develop --rows raw8", ["develop", "--file", raw8, "--rows"])
+    bad = array_file("bad.txt", H35_FILE.replace("-11", "-19"))
+    record("verify bad entry", ["verify", "--file", bad])
+    return results
+
+
+# Recorded from the CLI before the validation and kernel refactor; stdout must
+# stay byte-identical (develop's base_cycles excepted, see _golden_corpus).
+GOLDEN = {'gen3 3': (0, '821200b81f158285f57faa784d3f6ddfae552f7183591a3d3da7908fb9d91e12', ''),
+ 'verify 3': (0, '5eb8f6558c48010c3dce8e2f344e2584b77fb93853fe3313011e6fab26efa838', ''),
+ 'orderings 3': (0, 'ae9eecc7190be63a9dc2002b0dd5c6c69ba047f11138d7edee8f7fb0cc6eda47', ''),
+ 'embed 3': (0, 'e4cfc4f0c014da8f539996d5b7e024bd546fc287cb58c93b4a7d0ef8310124d3', ''),
+ 'gen3 4': (0, '1bd55e110e7eb5b1b2872a0878ca8bb49c73df08b68de113eaaba3e5095f304a', ''),
+ 'verify 4': (0, '763e62851126bdc998cc9ad075b2920468a2eeb0a1ea9dd10f79470b27a4be4c', ''),
+ 'orderings 4': (0, 'cd38fa8a907dcdc221d7143b69706b94382970f95920c00922b3219172a953da', ''),
+ 'embed 4': (0, 'bfd7973e6e4320e2732be32996ba102ece56c0491c9017a0dbb351680e700a96', ''),
+ 'gen3 5': (0, '23454a848d1fd85f4160ebab826e9694db8d5113cf145a03e289aa29dda895aa', ''),
+ 'verify 5': (0, 'c450c1e4bc8568ac9795423239edf2421090e00314685bcfff70f0934d3a018d', ''),
+ 'orderings 5': (0, 'bf23e383a9ed22b4303e8966f5d131f4f136d47c049055c82dcb269b536bafff', ''),
+ 'embed 5': (0, '52b449a9f61fe936094bb9b9f1d872f7b324d4febb47657dc165e750219eea7d', ''),
+ 'gen3 8': (0, 'b9742929b66557cf6e4230af22ea60dee262f6fcd6170f5d4e609d8b98e7f5b8', ''),
+ 'verify 8': (0, 'bff9bc893afe5a5ed1c05818275d1b6c70356d8578dc54fdd3b3ef4114fb1b30', ''),
+ 'orderings 8': (0, '9e9795b99a915960d71411d09fb644cd26a2afbd049fda2eb063ad652abe9e0f', ''),
+ 'embed 8': (0, '264d1f04d0c592fef6588e59107621a8a924fc4acceb9451bfb30db62822a24c', ''),
+ 'gen3 13': (0, '20d9b0bcdf50e0bd0bee8ac9b43a6cd64d74fa48c930316c0bfbb10d0098d0e8', ''),
+ 'verify 13': (0, '06b40a7fea9b3b4bf2e73a05d7a78cd850ce52a0c90aa86833f37f8147674db0', ''),
+ 'orderings 13': (0, '47fc2dc42480c9c2c3c64d93c7036ecc4a508a45ecc3d3329155ef16a531dfdf', ''),
+ 'embed 13': (0, '9cbfd2a2512973b61ed2265d2e3afe1af3cf70b641482d6cb2f3b7f54e850ccb', ''),
+ 'embed --expand 4': (0, '7317d79fecac7766581e378eb38042d7b3c82da23ad998e1d4cd08a9735ff0e6', ''),
+ 'develop --cols --expand 5': (0, '95a595fa5e21c5f91f42a75211352fb4e830bceda0e5e6011c27cb536c4d218e', ''),
+ 'search --all raw6': (0, '638247eb224553ab4c83c5fa159fc5b9f68f1a988fb77eebd25d78cb29c7b861', ''),
+ 'search exhaustive raw6': (0, '3117e0ae157ac7a7b9f98cebdc0a196c7ba1cbd1f603650646d7e4de76f7aac9', ''),
+ 'generate 5x4 seed 3': (0, '98bf6712c147e0a3756f4def10b0bbfedb16c77c58d42664c4c2f658d78c8781', ''),
+ 'verify raw8': (1, '442534f1c34c5cf4bd3fda79da85bd6029ebdb372c05dd58f5d3212394b2896a', ''),
+ 'orderings raw8': (1,
+                    'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+                    'error: row part 1 has a repeated partial sum mod 49\n'),
+ 'embed raw8': (1,
+                'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+                'error: row part 1 has a repeated partial sum mod 49\n'),
+ 'develop --rows raw8': (1,
+                         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+                         'error: part (-13, -11, 6, 3, 10, -8, 14, -1) has repeated partial sums mod 49\n'),
+ 'verify bad entry': (2,
+                      'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
+                      'error: |-19| exceeds (v-1)/2 = 15 (line 3, column 4)\n')}
+
+
+def test_cli_golden_corpus(tmp_path: Path) -> None:
+    assert _golden_corpus(tmp_path) == GOLDEN
+
+
+def test_cli_develop_lists_one_base_walk_per_part(tmp_path: Path) -> None:
+    H = simple_h3(5)
+    path = tmp_path / "h35.txt"
+    path.write_text(serialize_array(H), encoding="ascii")
+    for flag, parts in (("--rows", [H.row(i) for i in range(H.m)]), ("--cols", [H.column(j) for j in range(H.n)])):
+        code, out, _ = _run(["develop", "--file", str(path), flag])
+        assert code == 0
+        expected = [[0, *partial_sums(part, H.modulus)[:-1]] for part in parts]
+        assert json.loads(out)["base_cycles"] == expected

@@ -36,10 +36,14 @@ def test_array_metadata() -> None:
 
 
 def test_construction_rejects_bad_entries() -> None:
-    with pytest.raises(InvalidEntryError):
+    with pytest.raises(InvalidEntryError, match=r"^cell \(1,1\) = 0 is not"):
         from_rows([[0, 1, 2], [3, 4, 5], [6, 7, 8]])  # zero cell
-    with pytest.raises(InvalidEntryError):
+    with pytest.raises(
+        InvalidEntryError, match=r"^cell \(1,3\) = 99 is not a canonical nonzero residue mod 19$"
+    ):
         from_rows([[1, 2, 99], [3, 4, 5], [6, 7, 8]])  # out of range mod 19
+    with pytest.raises(InvalidEntryError, match=r"^cell \(3,2\) = -10 is not"):
+        from_rows([[1, 2, 3], [4, 5, 6], [7, -10, 8]])  # just below -(v-1)/2
     with pytest.raises(InvalidEntryError):
         from_rows([[1, 2], [3, 4]])  # below minimum dimensions
     with pytest.raises(InvalidEntryError):

@@ -17,6 +17,7 @@ from heffter.embedding import (
 )
 from heffter.errors import (
     InconsistentRotationError,
+    ModulusMismatchError,
     NotAnEmbeddingError,
     NotHeffterError,
     NotSimpleError,
@@ -79,6 +80,13 @@ def test_develop_rejects_bad_sums_and_partitions() -> None:
         develop_cycles([], 7)
     with pytest.raises(NotHeffterError):
         develop_cycles([(1, 2, -3), (4, 5, 6, -15)], 31)  # mixed part sizes
+
+
+def test_develop_rejects_non_canonical_entries() -> None:
+    with pytest.raises(ModulusMismatchError):
+        develop_cycles([(1, 2, 40)], 7)
+    with pytest.raises(ModulusMismatchError):
+        develop_cycles([(1, 2, -3)], 8)  # even modulus
 
 
 def test_face_set_counts_for_n3() -> None:

@@ -59,8 +59,13 @@ def test_partial_sums_small_cases() -> None:
 def test_partial_sums_requires_nonempty_canonical_input() -> None:
     with pytest.raises(ValueError):
         partial_sums((), 31)
+    for bad in ((1, 40), (1, 0), (-16, 1)):
+        with pytest.raises(ModulusMismatchError):
+            partial_sums(bad, 31)
+        with pytest.raises(ModulusMismatchError):
+            is_simple(bad, 31)
     with pytest.raises(ModulusMismatchError):
-        partial_sums((1, 40), 31)
+        partial_sums((1, -1), 30)  # even modulus
 
 
 def test_is_simple_published_examples() -> None:
