@@ -9,11 +9,10 @@ top to bottom; no other orders are ever used by the verifier.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, Sequence
 
 from .errors import InvalidEntryError, InvalidPermutationError
-from .modmath import _is_half_set, _is_simple, _partial_sums, half_bound
+from .modmath import _is_half_set, _partial_sums, half_bound
 
 MIN_DIMENSION = 3  # everything in scope has at least 3 rows and 3 columns
 
@@ -126,8 +125,7 @@ def _verify(H: HeffterArray) -> tuple[VerificationReport, list[list[int]], list[
 
 def is_simple_array(H: HeffterArray) -> bool:
     """True iff every row and every column of H has distinct partial sums."""
-    v = H.modulus
-    return all(_is_simple(line, v) for line in chain(H.cells, zip(*H.cells)))
+    return verify_heffter(H).is_simple
 
 
 def check_permutation(order: Sequence[int], n: int) -> tuple[int, ...]:

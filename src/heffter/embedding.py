@@ -3,17 +3,19 @@
 A simply ordered zero-sum part (a_1, ..., a_k) of a half-set of Z_v develops
 into the base cycle (0, s_1, ..., s_{k-1}) of its partial sums plus all v
 translates; over a full Heffter system the translated cycles decompose the
-edge set of K_v exactly once per pair.
+edge set of K_v exactly once per pair.  A :class:`CycleSystem` stores only
+the base walks and builds the translates when it is iterated.
 
-For a Heffter array with compatible orderings, the developed row cycles are
-traversed forward and the developed column cycles in reverse.  Forward row
-walks realize each arc whose vertex difference lies in the half-set exactly
-once, and reversed column walks realize the complementary arcs, so every
-directed edge of K_v is on exactly one face and every undirected edge is on
-one face of each color.  Reading off the corner successor at each vertex
-yields the rotation system; the embedding lives on a genuine orientable
-surface exactly when every vertex rotation is a single (v-1)-cycle, and its
-genus follows from Euler's formula V - E + F = 2 - 2g.
+For a Heffter array with compatible orderings, the row base walks are
+traversed forward and the column base walks in reverse; a :class:`FaceSet`
+is that pair of cycle systems, one per face color.  Forward row walks
+realize each arc whose vertex difference lies in the half-set exactly once,
+and reversed column walks realize the complementary arcs, so every directed
+edge of K_v is on exactly one face and every undirected edge is on one face
+of each color.  Reading off the corner successor at each vertex yields the
+rotation system; the embedding lives on a genuine orientable surface
+exactly when every vertex rotation is a single (v-1)-cycle, and its genus
+follows from Euler's formula V - E + F = 2 - 2g.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .core import HeffterArray
 from .errors import (
@@ -31,6 +33,7 @@ from .errors import (
     NotSimpleError,
     NotOrientableSurfaceError,
     OrderingMismatchError,
+    OutOfRangeError,
     PinchPointError,
 )
 from .modmath import _partial_sums, is_half_set
@@ -51,11 +54,30 @@ def _base_walk(part: Sequence[int], v: int) -> Walk:
 
 @dataclass(frozen=True)
 class CycleSystem:
-    """A k-cycle decomposition of K_v, closed under translation x -> x+1."""
+    """Base walks on Z_v; the cycles are their v translates x -> x + t.
+
+    Iterating the system yields the translates of each base walk in order,
+    base by base, without storing them.
+    """
 
     v: int
-    k: int
-    cycles: tuple[Walk, ...]
+    bases: tuple[Walk, ...]
+
+    @property
+    def k(self) -> int:
+        """Length of every cycle."""
+        return len(self.bases[0])
+
+    @property
+    def cycles(self) -> tuple[Walk, ...]:
+        """All v * len(bases) cycles, expanded."""
+        return tuple(self)
+
+    def __iter__(self) -> Iterator[Walk]:
+        v = self.v
+        for base in self.bases:
+            for t in range(v):
+                yield tuple((x + t) % v for x in base)
 
 
 def _canonical_rotation(cycle: Walk) -> Walk:
@@ -68,12 +90,11 @@ def develop_cycles(parts: Sequence[Sequence[int]], v: int) -> CycleSystem:
     """Develop a simply ordered Heffter system into a cyclic k-cycle system.
 
     The parts must partition a half-set of Z_v, share one length k, each sum
-    to 0 mod v, and each be simply ordered.  The v translates of each base
-    cycle are listed in order, base by base, without de-duplication: all
-    are distinct.  A translate fixing a k-cycle has order dividing
-    gcd(k, v) = 1, because the half-set count makes k divide (v-1)/2; and
-    translates of different bases differ, since their difference sets are
-    disjoint.
+    to 0 mod v, and each be simply ordered.  The result keeps one base walk
+    (0, s_1, ..., s_{k-1}) per part; its v translates are all distinct.  A
+    translate fixing a k-cycle has order dividing gcd(k, v) = 1, because the
+    half-set count makes k divide (v-1)/2; and translates of different bases
+    differ, since their difference sets are disjoint.
     """
     if not parts:
         raise NotHeffterError("no parts given")
@@ -82,71 +103,51 @@ def develop_cycles(parts: Sequence[Sequence[int]], v: int) -> CycleSystem:
         raise NotHeffterError(f"parts have mixed sizes {sorted(lengths)}")
     if not is_half_set(chain.from_iterable(parts), v):
         raise NotHeffterError(f"parts do not partition a half-set of Z_{v}")
-    k = lengths.pop()
-    bases = [_base_walk(p, v) for p in parts]
-    return CycleSystem(v=v, k=k, cycles=tuple(_translates(bases, v)))
+    return CycleSystem(v, tuple(_base_walk(p, v) for p in parts))
 
 
-def _translates(bases: Iterable[Walk], v: int) -> Iterator[Walk]:
-    """The v translates x -> x + t of each base walk, base by base."""
-    for base in bases:
-        for t in range(v):
-            yield tuple((x + t) % v for x in base)
-
-
-def _covers_each_pair_once(walks: Iterable[Walk], v: int) -> bool:
-    """True iff every pair of Z_v is an edge of exactly one closed walk."""
+def exact_pair_coverage(system: CycleSystem) -> bool:
+    """Brute-force check that every pair of Z_v is an edge of exactly one cycle."""
     edges: set[tuple[int, int]] = set()
-    for walk in walks:
+    for walk in system:
         for a, b in zip(walk, walk[1:] + walk[:1]):
             edge = (a, b) if a < b else (b, a)
             if edge in edges:
                 return False
             edges.add(edge)
-    return len(edges) == v * (v - 1) // 2
-
-
-def exact_pair_coverage(system: CycleSystem) -> bool:
-    """Brute-force check that every pair of Z_v is an edge of exactly one cycle."""
-    return _covers_each_pair_once(system.cycles, system.v)
+    return len(edges) == system.v * (system.v - 1) // 2
 
 
 def is_translation_closed(system: CycleSystem) -> bool:
     """True iff translating any cycle by +1 mod v gives another cycle."""
-    keys = {_canonical_rotation(c) for c in system.cycles}
+    keys = {_canonical_rotation(c) for c in system}
     return all(
         _canonical_rotation(tuple((x + 1) % system.v for x in c)) in keys
-        for c in system.cycles
+        for c in system
     )
 
 
 @dataclass(frozen=True)
 class FaceSet:
-    """Base faces of the 2-colored embedding; full faces are the v translates.
+    """The two face colors of the embedding: row faces and column faces.
 
-    Row faces (length n) are one color, column faces (length m) the other.
-    ``column_reversed`` records which global orientation convention produced
-    exact arc coverage.
+    Row faces (length n) are one color, column faces (length m) the other;
+    each color is the cycle system of its base faces.
     """
 
-    v: int
-    row_bases: tuple[Walk, ...]
-    col_bases: tuple[Walk, ...]
-    column_reversed: bool
+    rows: CycleSystem
+    cols: CycleSystem
+
+    @property
+    def v(self) -> int:
+        return self.rows.v
 
     def faces(self) -> Iterator[Walk]:
-        yield from self.row_faces()
-        yield from self.col_faces()
-
-    def row_faces(self) -> Iterator[Walk]:
-        return _translates(self.row_bases, self.v)
-
-    def col_faces(self) -> Iterator[Walk]:
-        return _translates(self.col_bases, self.v)
+        return chain(self.rows, self.cols)
 
     @property
     def face_count(self) -> int:
-        return self.v * (len(self.row_bases) + len(self.col_bases))
+        return self.v * (len(self.rows.bases) + len(self.cols.bases))
 
 
 def _reverse_walk(walk: Walk) -> Walk:
@@ -180,34 +181,23 @@ def _check_arc_exactness(v: int, faces: Iterator[Walk]) -> None:
 def build_face_set(H: HeffterArray, pair: CompatibleOrderingPair) -> FaceSet:
     """Assemble the 2-colored face set of K_v from H and its orderings.
 
-    Row parts are developed forward and column parts reversed; if that
-    convention fails arc-exactness the flipped one (rows reversed) is tried,
-    and the survivor is recorded on the returned FaceSet.  A part that is
-    not simple collapses a face to a walk with a repeated vertex and is
-    rejected.
+    Row parts are developed forward and column parts reversed.  This is the
+    only convention needed: reversing a face negates its arc differences, so
+    reversing the rows instead gives the same multiset {x, -x : x in H}, and
+    in a translation-closed face set the number of faces on arc (a, b) is
+    the multiplicity of b - a in that multiset.  Arc-exactness is left to
+    :func:`certify`.  A part that is not simple collapses a face to a walk
+    with a repeated vertex and is rejected.
     """
     if pair.omega_r.array != H or pair.omega_c.array != H:
         raise OrderingMismatchError("ordering pair belongs to a different array")
     v = H.modulus
     try:
-        row_bases = tuple(_base_walk(p, v) for p in pair.omega_r.element_parts())
-        col_bases = tuple(_base_walk(p, v) for p in pair.omega_c.element_parts())
+        rows = tuple(_base_walk(p, v) for p in pair.omega_r.element_parts())
+        cols = tuple(_reverse_walk(_base_walk(p, v)) for p in pair.omega_c.element_parts())
     except NotSimpleError as exc:
         raise NotAnEmbeddingError(f"non-simple part collapses a face: {exc}") from exc
-    candidates = (
-        FaceSet(v, row_bases, tuple(_reverse_walk(w) for w in col_bases), True),
-        FaceSet(v, tuple(_reverse_walk(w) for w in row_bases), col_bases, False),
-    )
-    failure: NotAnEmbeddingError | None = None
-    for face_set in candidates:
-        try:
-            _check_arc_exactness(v, face_set.faces())
-            return face_set
-        except NotAnEmbeddingError as exc:
-            failure = exc
-    raise NotAnEmbeddingError(
-        f"no orientation convention covers every arc exactly once: {failure}"
-    )
+    return FaceSet(CycleSystem(v, rows), CycleSystem(v, cols))
 
 
 @dataclass(frozen=True)
@@ -260,7 +250,10 @@ def genus_closed_form(n: int) -> int:
     """Genus of the biembedding of K_{6n+1} with 3-cycle and n-cycle faces.
 
     Evaluates g = 1 - [6n + 1 + C(6n+1, 2)(1/3 + 1/n - 1)] / 2 exactly.
+    Defined for n >= 3, the sizes for which an H(3,n) exists.
     """
+    if n < 3:
+        raise OutOfRangeError(f"the genus formula needs n >= 3, got {n}")
     v = 6 * n + 1
     edges = Fraction(v * (v - 1), 2)
     g = 1 - Fraction(1, 2) * (v + edges * (Fraction(1, 3) + Fraction(1, n) - 1))
@@ -271,7 +264,11 @@ def genus_closed_form(n: int) -> int:
 
 @dataclass(frozen=True)
 class EmbeddingCertificate:
-    """Outcome of certifying a face set as an orientable biembedding."""
+    """Outcome of certifying a face set as an orientable biembedding.
+
+    Arc-exactness and the vertex rotations have no flag: :func:`certify`
+    raises when either fails.
+    """
 
     v: int
     num_row_faces: int
@@ -283,19 +280,12 @@ class EmbeddingCertificate:
     faces: int
     euler_characteristic: int
     genus: int
-    arc_coverage_ok: bool
     edge_bicolor_ok: bool
-    rotations_ok: bool
     genus_matches_formula: bool | None
 
     @property
     def all_ok(self) -> bool:
-        return (
-            self.arc_coverage_ok
-            and self.edge_bicolor_ok
-            and self.rotations_ok
-            and self.genus_matches_formula is not False
-        )
+        return self.edge_bicolor_ok and self.genus_matches_formula is not False
 
 
 def certify(F: FaceSet) -> EmbeddingCertificate:
@@ -310,9 +300,7 @@ def certify(F: FaceSet) -> EmbeddingCertificate:
     _check_arc_exactness(v, F.faces())
     derive_rotations(F)  # raises on pinch points / inconsistencies
     # Each undirected edge of K_v on exactly one face of each color.
-    bicolor = _covers_each_pair_once(F.row_faces(), v) and _covers_each_pair_once(
-        F.col_faces(), v
-    )
+    bicolor = exact_pair_coverage(F.rows) and exact_pair_coverage(F.cols)
     vertices = v
     edges = v * (v - 1) // 2
     faces = F.face_count
@@ -323,21 +311,19 @@ def certify(F: FaceSet) -> EmbeddingCertificate:
         )
     genus = (2 - euler) // 2
     matches: bool | None = None
-    if F.col_bases and len(F.col_bases[0]) == 3:
-        matches = genus == genus_closed_form(len(F.row_bases[0]))
+    if F.cols.bases and F.cols.k == 3:
+        matches = genus == genus_closed_form(F.rows.k)
     return EmbeddingCertificate(
         v=v,
-        num_row_faces=v * len(F.row_bases),
-        num_col_faces=v * len(F.col_bases),
-        row_face_len=len(F.row_bases[0]),
-        col_face_len=len(F.col_bases[0]),
+        num_row_faces=v * len(F.rows.bases),
+        num_col_faces=v * len(F.cols.bases),
+        row_face_len=F.rows.k,
+        col_face_len=F.cols.k,
         vertices=vertices,
         edges=edges,
         faces=faces,
         euler_characteristic=euler,
         genus=genus,
-        arc_coverage_ok=True,
         edge_bicolor_ok=bicolor,
-        rotations_ok=True,
         genus_matches_formula=matches,
     )

@@ -51,9 +51,9 @@ class SearchConfig:
 
     def __post_init__(self) -> None:
         if self.strategy not in ("backtracking", "exhaustive"):
-            raise ValueError(f"unknown strategy {self.strategy!r}")
+            raise OutOfRangeError(f"unknown strategy {self.strategy!r}")
         if self.node_budget <= 0:
-            raise ValueError("node_budget must be positive")
+            raise OutOfRangeError(f"node_budget must be positive, got {self.node_budget}")
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,25 @@ def test_cli_genus_prints_published_value(capsys: pytest.CaptureFixture[str]) ->
     assert capsys.readouterr().out.strip() == "94"
 
 
+@pytest.mark.parametrize("n", (-3, 0, 1, 2))
+def test_cli_genus_rejects_n_below_3(n: int) -> None:
+    code, out, err = _run(["genus", "--n", str(n)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_cli_zero_budget_is_usage_error(tmp_path: Path) -> None:
+    path = tmp_path / "raw6.txt"
+    path.write_text(serialize_array(construct_raw_h3(6)), encoding="ascii")
+    for argv in (
+        ["search", "--file", str(path), "--budget", "0"],
+        ["generate", "--m", "3", "--n", "3", "--budget", "0"],
+    ):
+        code, out, err = _run(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_cli_gen3_verify_pipeline(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
     assert main(["gen3", "--n", "8"]) == 0
     array_text = capsys.readouterr().out

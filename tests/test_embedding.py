@@ -23,7 +23,9 @@ from heffter.errors import (
     NotSimpleError,
     PinchPointError,
 )
+from heffter.core import from_rows
 from heffter.h3 import construct_raw_h3, simple_h3
+from heffter.modmath import partial_sums
 from heffter.orderings import CyclicOrdering, CompatibleOrderingPair, compatible_orderings
 
 
@@ -139,11 +141,10 @@ def test_rotations_single_cycles_and_translation_invariant() -> None:
 def test_reversed_face_breaks_rotation_consistency() -> None:
     H = simple_h3(3)
     face_set = build_face_set(H, compatible_orderings(H))
+    rows = face_set.rows
     flipped = FaceSet(
-        v=face_set.v,
-        row_bases=(tuple(reversed(face_set.row_bases[0])),) + face_set.row_bases[1:],
-        col_bases=face_set.col_bases,
-        column_reversed=face_set.column_reversed,
+        rows=CycleSystem(rows.v, (tuple(reversed(rows.bases[0])),) + rows.bases[1:]),
+        cols=face_set.cols,
     )
     with pytest.raises((InconsistentRotationError, PinchPointError)):
         derive_rotations(flipped)
@@ -173,7 +174,7 @@ def test_genus_published_value() -> None:
 def test_exact_pair_coverage_detects_damage() -> None:
     H = simple_h3(3)
     system = develop_cycles([H.column(j) for j in range(3)], 19)
-    broken = CycleSystem(v=19, k=3, cycles=system.cycles[1:])
+    broken = CycleSystem(v=19, bases=system.bases[1:])
     assert not exact_pair_coverage(broken)
 
 
@@ -199,10 +200,42 @@ def test_certify_rejects_incomplete_face_set() -> None:
     H = simple_h3(3)
     face_set = build_face_set(H, compatible_orderings(H))
     damaged = FaceSet(
-        v=face_set.v,
-        row_bases=face_set.row_bases[1:],  # a base face and its translates gone
-        col_bases=face_set.col_bases,
-        column_reversed=face_set.column_reversed,
+        rows=CycleSystem(face_set.v, face_set.rows.bases[1:]),  # a base face and its translates gone
+        cols=face_set.cols,
     )
     with pytest.raises(NotAnEmbeddingError):
         certify(damaged)
+
+
+def test_certify_rejects_simple_zero_sum_array_that_is_not_a_half_set() -> None:
+    # Rows and columns sum to 0 and are simple, but 2 and 3 are used twice:
+    # the faces exist, and only certify's arc-exactness pass rejects them.
+    A = from_rows([[1, 2, -3], [2, -4, 2], [-3, 2, 1]])
+    face_set = build_face_set(A, compatible_orderings(A))
+    with pytest.raises(NotAnEmbeddingError):
+        certify(face_set)
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 8))
+def test_face_set_colors_are_developed_row_and_reversed_column_walks(n: int) -> None:
+    H = simple_h3(n)
+    v = H.modulus
+    pair = compatible_orderings(H)
+    face_set = build_face_set(H, pair)
+    assert face_set.rows == develop_cycles(pair.omega_r.element_parts(), v)
+    expected_cols = []
+    for part in pair.omega_c.element_parts():
+        walk = [0, *partial_sums(part, v)[:-1]]
+        expected_cols.append((0, *reversed(walk[1:])))
+    assert list(face_set.cols.bases) == expected_cols
+    assert face_set.face_count == v * (H.m + H.n)
+
+
+def test_develop_keeps_one_base_walk_per_part() -> None:
+    H = simple_h3(5)
+    parts = [H.row(i) for i in range(H.m)]
+    system = develop_cycles(parts, H.modulus)
+    assert system.bases == tuple((0, *partial_sums(p, H.modulus)[:-1]) for p in parts)
+    assert system.cycles == tuple(
+        tuple((x + t) % H.modulus for x in base) for base in system.bases for t in range(H.modulus)
+    )
