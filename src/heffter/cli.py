@@ -27,7 +27,7 @@ from .embedding import (
     genus_closed_form,
     is_translation_closed,
 )
-from .errors import BudgetExceededError, HeffterError
+from .errors import ArrayFormatError, BudgetExceededError, HeffterError, InvalidPermutationError
 from .h3 import simple_h3
 from .orderings import compatible_orderings
 from .search import SearchConfig, brute_force_oracle, find_simple_column_permutation, generate_heffter
@@ -42,8 +42,18 @@ def _array_meta(H: HeffterArray) -> dict:
 
 
 def _load_array(path: str) -> HeffterArray:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_array(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        raise ArrayFormatError(
+            f"non-ASCII byte 0x{data[exc.start]:02x}",
+            line=data.count(b"\n", 0, exc.start) + 1,
+            column=exc.start - line_start + 1,
+        ) from None
+    return parse_array(text)
 
 
 def _verify_doc(H: HeffterArray) -> dict:
@@ -77,7 +87,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_reorder(args: argparse.Namespace) -> int:
     H = _load_array(args.file)
-    perm = tuple(int(t) for t in args.perm.replace(",", " ").split())
+    try:
+        perm = tuple(int(t) for t in args.perm.replace(",", " ").split())
+    except ValueError:
+        raise InvalidPermutationError(f"--perm must list integers, got {args.perm!r}") from None
     sys.stdout.write(serialize_array(reorder_columns(H, perm)))
     return 0
 

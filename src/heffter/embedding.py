@@ -16,6 +16,20 @@ of each color.  Reading off the corner successor at each vertex yields the
 rotation system; the embedding lives on a genuine orientable surface
 exactly when every vertex rotation is a single (v-1)-cycle, and its genus
 follows from Euler's formula V - E + F = 2 - 2g.
+
+Every face set here is closed under x -> x + 1, so each check reduces to the
+m + n base walks (the current-graph argument; Gross and Tucker, *Topological
+Graph Theory*, ch. 4; Archdeacon, Electron. J. Combin. 22 (2015) #P1.74).
+The translate by t of a base step a -> b is the arc (a + t, b + t), so arc
+(u, w) lies on as many faces as there are base steps of difference w - u:
+arcs are exact iff the base steps hit each nonzero residue of Z_v once, and
+a color covers each pair once iff the steps {d, -d} hit each class once.
+A corner a -> u -> b translates to the corner a - u -> 0 -> b - u at vertex
+0, and succ_{u+t}(a+t) = succ_u(a) + t, so the rotation at u is the one at 0
+moved by +u and one (v-1)-cycle at vertex 0 certifies every vertex.
+:func:`certify` therefore runs in O(mn + v) time and memory;
+:func:`certify_exhaustive` expands all v(m+n) faces and is kept as its
+independent oracle.
 """
 
 from __future__ import annotations
@@ -80,12 +94,6 @@ class CycleSystem:
                 yield tuple((x + t) % v for x in base)
 
 
-def _canonical_rotation(cycle: Walk) -> Walk:
-    """Rotate a directed cycle to start at its smallest vertex."""
-    i = cycle.index(min(cycle))
-    return cycle[i:] + cycle[:i]
-
-
 def develop_cycles(parts: Sequence[Sequence[int]], v: int) -> CycleSystem:
     """Develop a simply ordered Heffter system into a cyclic k-cycle system.
 
@@ -106,25 +114,34 @@ def develop_cycles(parts: Sequence[Sequence[int]], v: int) -> CycleSystem:
     return CycleSystem(v, tuple(_base_walk(p, v) for p in parts))
 
 
+def _step_counts(v: int, bases: Sequence[Walk]) -> list[int]:
+    """counts[d] = the number of base steps a -> b, over all bases, with b - a = d mod v."""
+    counts = [0] * v
+    for base in bases:
+        for a, b in zip(base, base[1:] + base[:1]):
+            counts[(b - a) % v] += 1
+    return counts
+
+
 def exact_pair_coverage(system: CycleSystem) -> bool:
-    """Brute-force check that every pair of Z_v is an edge of exactly one cycle."""
-    edges: set[tuple[int, int]] = set()
-    for walk in system:
-        for a, b in zip(walk, walk[1:] + walk[:1]):
-            edge = (a, b) if a < b else (b, a)
-            if edge in edges:
-                return False
-            edges.add(edge)
-    return len(edges) == system.v * (system.v - 1) // 2
+    """True iff every pair of Z_v is an edge of exactly one cycle.
+
+    The translates of a step of difference d cover each pair {u, u + d} once,
+    so the pairs of class {d, -d} are covered counts[d] + counts[-d] times;
+    a zero step is a loop, not an edge.
+    """
+    v = system.v
+    counts = _step_counts(v, system.bases)
+    return counts[0] == 0 and all(counts[d] + counts[v - d] == 1 for d in range(1, v // 2 + 1))
 
 
 def is_translation_closed(system: CycleSystem) -> bool:
-    """True iff translating any cycle by +1 mod v gives another cycle."""
-    keys = {_canonical_rotation(c) for c in system}
-    return all(
-        _canonical_rotation(tuple((x + 1) % system.v for x in c)) in keys
-        for c in system
-    )
+    """True iff translating any cycle by +1 mod v gives another cycle.
+
+    Always true: the cycles are the translates base + t, and
+    (base + t) + 1 = base + (t + 1 mod v) is one of them.
+    """
+    return True
 
 
 @dataclass(frozen=True)
@@ -154,28 +171,19 @@ def _reverse_walk(walk: Walk) -> Walk:
     return (walk[0], *walk[:0:-1])
 
 
-def _arc_counts(v: int, faces: Iterator[Walk]) -> bytearray:
-    """Explicit per-arc counters, indexed u * v + w; saturates at 255."""
-    counts = bytearray(v * v)
-    for walk in faces:
-        for a, b in zip(walk, walk[1:] + walk[:1]):
+def _check_arc_exactness(F: FaceSet) -> None:
+    """Every arc (u, w), u != w, on exactly one face, read off the base steps."""
+    v = F.v
+    for base in chain(F.rows.bases, F.cols.bases):
+        for a, b in zip(base, base[1:] + base[:1]):
             if a == b:
                 raise NotAnEmbeddingError(f"degenerate arc at vertex {a}")
-            i = a * v + b
-            if counts[i] < 255:
-                counts[i] += 1
-    return counts
-
-
-def _check_arc_exactness(v: int, faces: Iterator[Walk]) -> None:
-    counts = _arc_counts(v, faces)  # raises on a loop arc, so the diagonal is 0
-    for u in range(v):
-        for w in range(v):
-            c = counts[u * v + w]
-            if c != 1 and u != w:
-                raise NotAnEmbeddingError(
-                    f"arc ({u},{w}) lies on {c} faces, expected exactly 1"
-                )
+    counts = _step_counts(v, F.rows.bases + F.cols.bases)
+    for d in range(1, v):
+        if counts[d] != 1:
+            raise NotAnEmbeddingError(
+                f"arc (0,{d}) lies on {counts[d]} faces, expected exactly 1"
+            )
 
 
 def build_face_set(H: HeffterArray, pair: CompatibleOrderingPair) -> FaceSet:
@@ -202,48 +210,54 @@ def build_face_set(H: HeffterArray, pair: CompatibleOrderingPair) -> FaceSet:
 
 @dataclass(frozen=True)
 class RotationSystem:
-    """Cyclic neighbor successor at every vertex of K_v."""
+    """Vertex rotations of a translation-closed embedding of K_v.
+
+    Only the successor map at vertex 0 is stored; the map at u is its
+    translate, succ_u(a) = succ_0(a - u) + u.
+    """
 
     v: int
-    successors: tuple[dict[int, int], ...]
+    at_zero: dict[int, int]
 
     def rotation_cycle(self, u: int) -> Walk:
         """The single cycle of neighbors at vertex u."""
-        succ = self.successors[u]
-        return orbit(succ, next(iter(succ)))
+        v = self.v
+        return tuple((x + u) % v for x in orbit(self.at_zero, next(iter(self.at_zero))))
 
 
 def derive_rotations(F: FaceSet) -> RotationSystem:
-    """Reconstruct vertex rotations from face corners.
+    """Reconstruct the vertex rotations from the corners of the base faces.
 
-    Consecutive arcs (a, u), (u, b) of a face set successor_u(a) = b.  Each
-    successor map must be a permutation of the v-1 neighbors (else the faces
-    are inconsistent) and must be a single cycle (else u is a pinch point
-    and the complex is a pseudosurface, not a surface).
+    A corner a -> u -> b of a face sets successor_u(a) = b; moved to vertex
+    0 it sets successor_0(a - u) = b - u, and every translate of the corner
+    sets the same relative successor.  The map at vertex 0 must be a
+    permutation of the v-1 neighbors (else the faces are inconsistent) and a
+    single cycle (else every vertex is a pinch point and the complex is a
+    pseudosurface, not a surface).
     """
     v = F.v
-    succ: list[dict[int, int]] = [dict() for _ in range(v)]
-    for walk in F.faces():
+    succ: dict[int, int] = {}
+    for walk in chain(F.rows.bases, F.cols.bases):
         k = len(walk)
         for idx, u in enumerate(walk):
-            a = walk[idx - 1]
-            b = walk[(idx + 1) % k]
-            if a in succ[u]:
+            a = (walk[idx - 1] - u) % v
+            if a in succ:
                 raise InconsistentRotationError(
-                    f"two faces define the corner after ({a},{u})"
+                    f"two faces define the corner after ({a},0)"
                 )
-            succ[u][a] = b
-    for u in range(v):
-        if len(succ[u]) != v - 1 or len(set(succ[u].values())) != v - 1:
-            raise InconsistentRotationError(
-                f"successor map at vertex {u} is not a permutation of its neighbors"
-            )
-        length = len(orbit(succ[u], next(iter(succ[u]))))
-        if length != v - 1:
-            raise PinchPointError(
-                f"rotation at vertex {u} splits (orbit {length} of {v - 1})"
-            )
-    return RotationSystem(v=v, successors=tuple(succ))
+            succ[a] = (walk[(idx + 1) % k] - u) % v
+    # Keys are the negated base steps and values the steps, so v-1 distinct
+    # nonzero keys (no loop step) make the values the v-1 neighbors as well.
+    if len(succ) != v - 1 or 0 in succ:
+        raise InconsistentRotationError(
+            "successor map at vertex 0 is not a permutation of its neighbors"
+        )
+    length = len(orbit(succ, next(iter(succ))))
+    if length != v - 1:
+        raise PinchPointError(
+            f"rotation at vertex 0 splits (orbit {length} of {v - 1})"
+        )
+    return RotationSystem(v=v, at_zero=succ)
 
 
 def genus_closed_form(n: int) -> int:
@@ -288,19 +302,9 @@ class EmbeddingCertificate:
         return self.edge_bicolor_ok and self.genus_matches_formula is not False
 
 
-def certify(F: FaceSet) -> EmbeddingCertificate:
-    """Exhaustively certify a face set and compute the genus of its surface.
-
-    Re-expands every face: checks arc-exactness, the one-face-per-color
-    property of every undirected edge, derives and validates all vertex
-    rotations, and evaluates Euler's formula.  For 3 x n inputs the genus is
-    also compared against the closed form.
-    """
+def _certificate(F: FaceSet, bicolor: bool) -> EmbeddingCertificate:
+    """Euler data of a face set whose arcs and rotations have been checked."""
     v = F.v
-    _check_arc_exactness(v, F.faces())
-    derive_rotations(F)  # raises on pinch points / inconsistencies
-    # Each undirected edge of K_v on exactly one face of each color.
-    bicolor = exact_pair_coverage(F.rows) and exact_pair_coverage(F.cols)
     vertices = v
     edges = v * (v - 1) // 2
     faces = F.face_count
@@ -327,3 +331,93 @@ def certify(F: FaceSet) -> EmbeddingCertificate:
         edge_bicolor_ok=bicolor,
         genus_matches_formula=matches,
     )
+
+
+def certify(F: FaceSet) -> EmbeddingCertificate:
+    """Certify a face set from its base faces and compute the genus of its surface.
+
+    Checks arc-exactness, the vertex rotations and the one-face-per-color
+    property of every undirected edge on the base steps and corners (see
+    the module docstring), then evaluates Euler's formula.  For 3 x n inputs
+    the genus is also compared against the closed form.  Raises what
+    :func:`certify_exhaustive` raises, in the same order, with witnesses
+    given at vertex 0.
+    """
+    _check_arc_exactness(F)
+    derive_rotations(F)  # raises on pinch points / inconsistencies
+    bicolor = exact_pair_coverage(F.rows) and exact_pair_coverage(F.cols)
+    return _certificate(F, bicolor)
+
+
+# The exhaustive oracle: every check on all v(m+n) expanded faces, O(v^2).
+
+
+def _arc_counts(v: int, faces: Iterator[Walk]) -> bytearray:
+    """Explicit per-arc counters, indexed u * v + w; saturates at 255."""
+    counts = bytearray(v * v)
+    for walk in faces:
+        for a, b in zip(walk, walk[1:] + walk[:1]):
+            if a == b:
+                raise NotAnEmbeddingError(f"degenerate arc at vertex {a}")
+            i = a * v + b
+            if counts[i] < 255:
+                counts[i] += 1
+    return counts
+
+
+def _successors_exhaustive(F: FaceSet) -> tuple[dict[int, int], ...]:
+    """The successor map at every vertex, read off every corner of every face."""
+    v = F.v
+    succ: list[dict[int, int]] = [dict() for _ in range(v)]
+    for walk in F.faces():
+        k = len(walk)
+        for idx, u in enumerate(walk):
+            a = walk[idx - 1]
+            if a in succ[u]:
+                raise InconsistentRotationError(
+                    f"two faces define the corner after ({a},{u})"
+                )
+            succ[u][a] = walk[(idx + 1) % k]
+    for u in range(v):
+        if len(succ[u]) != v - 1 or len(set(succ[u].values())) != v - 1:
+            raise InconsistentRotationError(
+                f"successor map at vertex {u} is not a permutation of its neighbors"
+            )
+        length = len(orbit(succ[u], next(iter(succ[u]))))
+        if length != v - 1:
+            raise PinchPointError(
+                f"rotation at vertex {u} splits (orbit {length} of {v - 1})"
+            )
+    return tuple(succ)
+
+
+def _pair_coverage_exhaustive(system: CycleSystem) -> bool:
+    """:func:`exact_pair_coverage` by listing the edges of every cycle."""
+    edges: set[tuple[int, int]] = set()
+    for walk in system:
+        for a, b in zip(walk, walk[1:] + walk[:1]):
+            edge = (a, b) if a < b else (b, a)
+            if edge in edges:
+                return False
+            edges.add(edge)
+    return len(edges) == system.v * (system.v - 1) // 2
+
+
+def certify_exhaustive(F: FaceSet) -> EmbeddingCertificate:
+    """:func:`certify` by full expansion of every face; the slow oracle.
+
+    Counts every arc of every face in a v x v table, builds the successor
+    map at every vertex, and counts the undirected edges of each color.
+    """
+    v = F.v
+    counts = _arc_counts(v, F.faces())  # raises on a loop arc, so the diagonal is 0
+    for u in range(v):
+        for w in range(v):
+            c = counts[u * v + w]
+            if c != 1 and u != w:
+                raise NotAnEmbeddingError(
+                    f"arc ({u},{w}) lies on {c} faces, expected exactly 1"
+                )
+    _successors_exhaustive(F)
+    bicolor = _pair_coverage_exhaustive(F.rows) and _pair_coverage_exhaustive(F.cols)
+    return _certificate(F, bicolor)

@@ -131,6 +131,24 @@ def test_cli_reorder_rejects_bad_permutation(tmp_path: Path, capsys) -> None:
     assert main(["reorder", "--file", str(path), "--perm", "1,1,2,3,4,5,6,7"]) == 2
 
 
+@pytest.mark.parametrize("perm", ("x", "1,2,3,4,5,6,7,x", "1.5"))
+def test_cli_reorder_rejects_non_integer_permutation(tmp_path: Path, perm: str) -> None:
+    path = tmp_path / "raw38.txt"
+    path.write_text(serialize_array(construct_raw_h3(8)), encoding="ascii")
+    code, out, err = _run(["reorder", "--file", str(path), "--perm", perm])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd", (["verify"], ["orderings"], ["develop", "--rows"], ["embed"], ["search"]))
+def test_cli_non_ascii_file_is_usage_error(tmp_path: Path, cmd: list[str]) -> None:
+    path = tmp_path / "h35.txt"
+    path.write_bytes(H35_FILE.replace("-9 5", "-9 \xff5").encode("latin-1"))
+    code, out, err = _run([*cmd, "--file", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: non-ASCII byte 0xff (line 3, column 4)\n"
+
+
 def test_cli_orderings_reports_single_cycle(tmp_path: Path, capsys) -> None:
     path = tmp_path / "h35.txt"
     path.write_text(H35_FILE, encoding="ascii")

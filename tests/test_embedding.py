@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from heffter.embedding import (
     CycleSystem,
     FaceSet,
+    _successors_exhaustive,
     build_face_set,
     certify,
+    certify_exhaustive,
     derive_rotations,
     develop_cycles,
     exact_pair_coverage,
@@ -16,6 +21,8 @@ from heffter.embedding import (
     is_translation_closed,
 )
 from heffter.errors import (
+    BudgetExceededError,
+    HeffterError,
     InconsistentRotationError,
     ModulusMismatchError,
     NotAnEmbeddingError,
@@ -23,10 +30,11 @@ from heffter.errors import (
     NotSimpleError,
     PinchPointError,
 )
-from heffter.core import from_rows
+from heffter.core import from_rows, reorder_columns
 from heffter.h3 import construct_raw_h3, simple_h3
 from heffter.modmath import partial_sums
 from heffter.orderings import CyclicOrdering, CompatibleOrderingPair, compatible_orderings
+from heffter.search import SearchConfig, find_simple_column_permutation, generate_heffter
 
 
 def _pairs_covered_once(cycles, v: int) -> bool:
@@ -121,21 +129,26 @@ def test_broken_row_ordering_is_not_an_embedding() -> None:
         build_face_set(H, pair)
 
 
+def _successor_map(cycle) -> dict[int, int]:
+    return dict(zip(cycle, cycle[1:] + cycle[:1]))
+
+
 def test_rotations_single_cycles_and_translation_invariant() -> None:
     for n in (3, 5):
         H = simple_h3(n)
         v = H.modulus
         face_set = build_face_set(H, compatible_orderings(H))
         rotations = derive_rotations(face_set)
+        oracle = _successors_exhaustive(face_set)
+        assert len(rotations.at_zero) == v - 1
         for u in range(v):
-            assert len(rotations.rotation_cycle(u)) == v - 1
+            cycle = rotations.rotation_cycle(u)
+            assert len(cycle) == v - 1 and u not in cycle
+            assert _successor_map(cycle) == oracle[u]
         # Vertex transitivity: rotation at u+1 is the translate of rotation at u.
         for u in range(v):
-            succ_u = rotations.successors[u]
-            succ_next = rotations.successors[(u + 1) % v]
-            assert all(
-                succ_next[(a + 1) % v] == (succ_u[a] + 1) % v for a in succ_u
-            )
+            succ_u, succ_next = oracle[u], oracle[(u + 1) % v]
+            assert all(succ_next[(a + 1) % v] == (succ_u[a] + 1) % v for a in succ_u)
 
 
 def test_reversed_face_breaks_rotation_consistency() -> None:
@@ -176,6 +189,11 @@ def test_exact_pair_coverage_detects_damage() -> None:
     system = develop_cycles([H.column(j) for j in range(3)], 19)
     broken = CycleSystem(v=19, bases=system.bases[1:])
     assert not exact_pair_coverage(broken)
+    # Steps 0, 1, 2, 3, 5 mod 11: a loop is no edge, and the pairs {u, u + 4}
+    # lie on no cycle, though the translates list 11 * 5 = C(11, 2) "edges".
+    looped = CycleSystem(v=11, bases=((0, 0, 1, 3, 6),))
+    assert not exact_pair_coverage(looped)
+    assert not _pairs_covered_once(looped.cycles, 11)
 
 
 def test_five_row_biembedding_certifies() -> None:
@@ -239,3 +257,97 @@ def test_develop_keeps_one_base_walk_per_part() -> None:
     assert system.cycles == tuple(
         tuple((x + t) % H.modulus for x in base) for base in system.bases for t in range(H.modulus)
     )
+
+
+def test_quotient_witnesses_are_given_at_vertex_0() -> None:
+    H = simple_h3(3)
+    face_set = build_face_set(H, compatible_orderings(H))
+    rows, cols = face_set.rows, face_set.cols
+    dropped = FaceSet(CycleSystem(rows.v, rows.bases[1:]), cols)
+    steps = {(b - a) % 19 for a, b in zip(rows.bases[0], rows.bases[0][1:] + rows.bases[0][:1])}
+    with pytest.raises(NotAnEmbeddingError, match=rf"arc \(0,{min(steps)}\) lies on 0 faces"):
+        certify(dropped)
+    with pytest.raises(InconsistentRotationError, match="at vertex 0"):
+        derive_rotations(dropped)
+    doubled = FaceSet(CycleSystem(rows.v, rows.bases + rows.bases[:1]), cols)
+    with pytest.raises(NotAnEmbeddingError, match="lies on 2 faces"):
+        certify(doubled)
+    with pytest.raises(InconsistentRotationError, match=r"corner after \(\d+,0\)"):
+        derive_rotations(doubled)
+    looped = FaceSet(CycleSystem(rows.v, ((0, *rows.bases[0]),) + rows.bases[1:]), cols)
+    with pytest.raises(NotAnEmbeddingError, match="degenerate arc at vertex 0"):
+        certify(looped)
+    with pytest.raises(InconsistentRotationError, match="not a permutation"):
+        derive_rotations(looped)
+
+
+def _outcome(fn, arg):
+    """A check's result, or the class of the HeffterError it raised."""
+    try:
+        return fn(arg)
+    except HeffterError as exc:
+        return type(exc)
+
+
+@lru_cache(maxsize=None)
+def _simple_5xn(n: int, seed: int):
+    """A generated 5 x n array reordered to simple rows, or None."""
+    try:
+        H = generate_heffter(5, n, SearchConfig(node_budget=50_000, seed=seed))
+    except BudgetExceededError:
+        return None
+    if H is None:
+        return None
+    outcome = find_simple_column_permutation(H)
+    if outcome.permutation is None:
+        return None
+    return reorder_columns(H, outcome.permutation)
+
+
+def _damage(system: CycleSystem, kind: str, i: int) -> CycleSystem:
+    bases = list(system.bases)
+    i %= len(bases)
+    if kind == "drop":
+        del bases[i]
+    elif kind == "reverse":
+        bases[i] = tuple(reversed(bases[i]))
+    elif kind == "duplicate":
+        bases.append(bases[i])
+    elif kind == "mirror":  # same steps in reverse order: arcs stay exact, corners change
+        bases[i] = tuple(-x % system.v for x in reversed(bases[i]))
+    return CycleSystem(system.v, tuple(bases))
+
+
+@st.composite
+def _face_sets(draw) -> FaceSet:
+    source = draw(st.sampled_from(("h3", "h5", "non-half-set")))
+    if source == "h3":
+        H = simple_h3(draw(st.integers(3, 66)))  # v <= 397
+    elif source == "h5":
+        H = _simple_5xn(draw(st.integers(3, 7)), draw(st.integers(0, 3)))
+        assume(H is not None)
+    else:
+        H = from_rows([[1, 2, -3], [2, -4, 2], [-3, 2, 1]])
+    face_set = build_face_set(H, compatible_orderings(H))
+    kind = draw(st.sampled_from(("none", "drop", "reverse", "duplicate", "mirror")))
+    if kind == "none":
+        return face_set
+    i = draw(st.integers(0, 100))
+    if draw(st.booleans()):
+        return FaceSet(_damage(face_set.rows, kind, i), face_set.cols)
+    return FaceSet(face_set.rows, _damage(face_set.cols, kind, i))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_face_sets())
+def test_quotient_checks_match_exhaustive_oracle(face_set: FaceSet) -> None:
+    v = face_set.v
+    assert _outcome(certify, face_set) == _outcome(certify_exhaustive, face_set)
+    rotations = _outcome(derive_rotations, face_set)
+    oracle = _outcome(_successors_exhaustive, face_set)
+    if isinstance(oracle, tuple):
+        assert all(_successor_map(rotations.rotation_cycle(u)) == oracle[u] for u in range(v))
+    else:
+        assert rotations == oracle
+    for system in (face_set.rows, face_set.cols):
+        assert exact_pair_coverage(system) == _pairs_covered_once(system.cycles, v)
