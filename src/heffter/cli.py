@@ -27,7 +27,13 @@ from .embedding import (
     genus_closed_form,
     is_translation_closed,
 )
-from .errors import ArrayFormatError, BudgetExceededError, HeffterError, InvalidPermutationError
+from .errors import (
+    ArrayFormatError,
+    BudgetExceededError,
+    HeffterError,
+    InvalidPermutationError,
+    NotHeffterError,
+)
 from .h3 import simple_h3
 from .orderings import compatible_orderings
 from .search import SearchConfig, brute_force_oracle, find_simple_column_permutation, generate_heffter
@@ -184,6 +190,13 @@ def _cmd_genus(args: argparse.Namespace) -> int:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     H = _load_array(args.file)
+    # The search re-verifies its answer as a Heffter array; a parsed array is
+    # already a half-set, so only the line sums are left to check.
+    v = H.modulus
+    for what, lines in (("row", H.cells), ("column", zip(*H.cells))):
+        for k, line in enumerate(lines, 1):
+            if sum(line) % v:
+                raise NotHeffterError(f"{what} {k} does not sum to 0 mod {v}")
     cfg = SearchConfig(strategy=args.strategy, node_budget=args.budget)
     doc: dict = {"array": _array_meta(H), "strategy": args.strategy}
     try:
@@ -213,15 +226,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    cfg = SearchConfig(node_budget=args.budget, seed=args.seed)
-    try:
-        H = generate_heffter(args.m, args.n, cfg)
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if H is None:
-        print(f"error: no {args.m} x {args.n} Heffter array exists", file=sys.stderr)
-        return 1
+    H = generate_heffter(args.m, args.n, SearchConfig(node_budget=args.budget, seed=args.seed))
     sys.stdout.write(serialize_array(H))
     return 0
 

@@ -35,7 +35,6 @@ independent oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from typing import Iterator, Sequence
 
@@ -263,17 +262,13 @@ def derive_rotations(F: FaceSet) -> RotationSystem:
 def genus_closed_form(n: int) -> int:
     """Genus of the biembedding of K_{6n+1} with 3-cycle and n-cycle faces.
 
-    Evaluates g = 1 - [6n + 1 + C(6n+1, 2)(1/3 + 1/n - 1)] / 2 exactly.
+    With v = 6n + 1 there are E = 3nv edges and F = nv + 3v faces, so
+    chi = v - 3nv + (n+3)v = v(4 - 2n) and g = 1 - chi/2 = 1 + (6n+1)(n-2).
     Defined for n >= 3, the sizes for which an H(3,n) exists.
     """
     if n < 3:
         raise OutOfRangeError(f"the genus formula needs n >= 3, got {n}")
-    v = 6 * n + 1
-    edges = Fraction(v * (v - 1), 2)
-    g = 1 - Fraction(1, 2) * (v + edges * (Fraction(1, 3) + Fraction(1, n) - 1))
-    if g.denominator != 1 or g < 0:
-        raise NotOrientableSurfaceError(f"closed form gives non-integral genus {g}")
-    return int(g)
+    return 1 + (6 * n + 1) * (n - 2)
 
 
 @dataclass(frozen=True)

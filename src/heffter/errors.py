@@ -37,7 +37,11 @@ class UnsupportedError(HeffterError, ValueError):
 
 
 class NoCompatibleConstructionError(HeffterError):
-    """Both dimensions even: the ordering construction does not apply."""
+    """No compatible orderings: both dimensions are even, or the orbit splits.
+
+    With m and n both even none can exist: the row and column orderings
+    compose to a permutation of sign (-1)^(m+n) = +1, and an mn-cycle is odd.
+    """
 
 
 class SimplicityLostError(HeffterError):

@@ -55,7 +55,6 @@ class _Case:
     """One residue class of the main construction."""
 
     first_n: int  # smallest n of the class; m = (n - first_n) / 8
-    full_tail: bool  # True -> blocks A_0..A_{2m}, False -> A_0..A_{2m-1}
     lead: tuple[tuple[Lin, ...], ...]
     repeat: tuple[tuple[LinR, ...], ...]
     groups: tuple[Group, ...]
@@ -67,14 +66,10 @@ class _Case:
             raise OutOfRangeError(f"n={n} is not in this residue class")
         return m
 
-    def block_count(self, m: int) -> int:
-        return 2 * m + 1 if self.full_tail else 2 * m
-
 
 _CASES: dict[int, _Case] = {
     0: _Case(
         first_n=8,
-        full_tail=True,
         lead=(
             ((-12, -13), (-10, -11), (4, 6), (4, 3)),
             ((4, 4), (-8, -7), (18, 17), (18, 19)),
@@ -133,7 +128,6 @@ _CASES: dict[int, _Case] = {
     ),
     1: _Case(
         first_n=9,
-        full_tail=True,
         lead=(
             ((8, 7), (10, 12), (16, 18), (4, 6), (4, 3)),
             ((8, 10), (8, 9), (-12, -14), (-22, -26), (18, 22)),
@@ -188,7 +182,6 @@ _CASES: dict[int, _Case] = {
     ),
     2: _Case(
         first_n=10,
-        full_tail=True,
         lead=(
             ((24, 30), (16, 21), (10, 13), (8, 8), (4, 5), (8, 9)),
             ((24, 29), (-8, -11), (-10, -14), (12, 16), (16, 20), (12, 17)),
@@ -258,7 +251,6 @@ _CASES: dict[int, _Case] = {
     ),
     3: _Case(
         first_n=11,
-        full_tail=True,
         lead=(
             ((24, 33), (8, 11), (8, 13), (4, 6), (0, 1), (-12, -17), (8, 10)),
             ((24, 32), (-16, -23), (-12, -18), (10, 15), (20, 27), (-8, -9), (14, 20)),
@@ -323,7 +315,6 @@ _CASES: dict[int, _Case] = {
     ),
     4: _Case(
         first_n=12,
-        full_tail=True,
         lead=(
             ((8, 13), (10, 16), (22, 34), (-4, -5), (4, 7), (-22, -35), (-12, -18), (0, -1)),
             ((4, 6), (8, 11), (-4, -8), (22, 33), (-14, -22), (4, 10), (0, -2), (-20, -30)),
@@ -394,7 +385,6 @@ _CASES: dict[int, _Case] = {
     ),
     5: _Case(
         first_n=5,
-        full_tail=False,
         lead=(
             ((8, 6), (10, 7), (-16, -10), (-4, -4), (4, 1)),
             ((-16, -9), (8, 5), (4, 2), (-18, -11), (18, 13)),
@@ -449,7 +439,6 @@ _CASES: dict[int, _Case] = {
     ),
     6: _Case(
         first_n=6,
-        full_tail=False,
         lead=(
             ((24, 18), (-16, -13), (0, -1), (8, 4), (-4, -3), (-8, -5)),
             ((0, 2), (8, 6), (-10, -8), (-20, -14), (-16, -12), (-12, -11)),
@@ -507,7 +496,6 @@ _CASES: dict[int, _Case] = {
     ),
     7: _Case(
         first_n=7,
-        full_tail=False,
         lead=(
             ((24, 21), (16, 15), (4, 3), (-4, -4), (-20, -18), (-12, -11), (-8, -6)),
             ((0, 2), (-8, -8), (-12, -12), (14, 14), (0, 1), (20, 16), (-14, -13)),
@@ -604,7 +592,7 @@ def construct_raw_h3(n: int) -> HeffterArray:
     rows: list[list[int]] = [[], [], []]
     for i in range(3):
         rows[i].extend(_lin(e, m) for e in case.lead[i])
-    for r in range(case.block_count(m)):
+    for r in range((n - len(case.lead[0])) // 4):  # the 3 x 4 blocks A_r fill the rest
         sign = -1 if r % 2 else 1
         for i in range(3):
             rows[i].extend(sign * (a * m + b * r + c) for a, b, c in case.repeat[i])
@@ -655,15 +643,8 @@ def _table_support(n: int) -> tuple[_Case, int]:
         raise UnsupportedError("n=8 uses the printed literal sums")
     if n < 9:
         raise UnsupportedError(f"no partial-sum tables cover n={n}")
-    residue = n % 8
-    case = _CASES[residue]
-    m = case.scale(n)
-    if not case.full_tail and m < 1:
-        # At m = 0 several printed intervals of these classes degenerate.
-        raise UnsupportedError(
-            f"tables for n % 8 == {residue} start at n={case.first_n + 8}"
-        )
-    return case, m
+    case = _CASES[n % 8]
+    return case, case.scale(n)
 
 
 def _row_table(n: int, row: int, atoms: Callable[[_Case], Iterable[Atom]]) -> frozenset[int]:

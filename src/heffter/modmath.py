@@ -94,8 +94,3 @@ def is_simple(seq: Sequence[int], v: int) -> bool:
     """True iff all partial sums of seq are distinct mod v."""
     sums = partial_sums(seq, v)
     return len(set(sums)) == len(sums)
-
-
-def _is_simple(seq: Sequence[int], v: int) -> bool:
-    sums = _partial_sums(seq, v)
-    return len(set(sums)) == len(sums)

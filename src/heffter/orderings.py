@@ -12,9 +12,11 @@ The composed step moves along the row ordering first and then along the
 column ordering, so from h_{1,1} it visits h_{2,2}, h_{3,3}, ... with the
 vertical direction flipping once the reversed region is entered.  Each full
 sweep across the n columns shifts the row index by exactly one, which is why
-the orbit covers all mn cells.  Reversing or rotating a cyclic sequence
-permutes its partial-sum differences, so every reversed part stays simple;
-this is nevertheless re-checked defensively.
+the orbit covers all mn cells.  Reversing or rotating a zero-sum cyclic
+sequence permutes its partial-sum differences, so every reversed part of a
+Heffter array stays simple; both the zero sum and the simplicity are checked.
+When m and n are both even no compatible orderings exist (see
+:func:`compatible_orderings`).
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ from typing import Mapping, TypeVar
 from .core import HeffterArray
 from .errors import (
     NoCompatibleConstructionError,
+    NotHeffterError,
     OrderingMismatchError,
     SimplicityLostError,
 )
-from .modmath import _is_simple
+from .modmath import _partial_sums
 
 Cell = tuple[int, int]  # 0-based (row, column)
 
@@ -119,7 +122,10 @@ def _col_parts(m: int, n: int, reversed_from: int | None = None) -> tuple[tuple[
 def _check_parts_simple(ordering: CyclicOrdering, what: str) -> None:
     v = ordering.array.modulus
     for k, seq in enumerate(ordering.element_parts()):
-        if not _is_simple(seq, v):
+        sums = _partial_sums(seq, v)
+        if sums[-1]:
+            raise NotHeffterError(f"{what} part {k + 1} does not sum to 0 mod {v}")
+        if len(set(sums)) != len(sums):
             raise SimplicityLostError(
                 f"{what} part {k + 1} has a repeated partial sum mod {v}"
             )
@@ -129,9 +135,14 @@ def compatible_orderings(H: HeffterArray) -> CompatibleOrderingPair:
     """Build compatible simple orderings for H; needs m or n odd.
 
     The returned composition cycle starts at cell (0, 0) and has length mn.
-    Raises NoCompatibleConstructionError when both dimensions are even and
-    SimplicityLostError if any constructed part fails the simplicity check
-    (which requires H to be simple in the natural orders to begin with).
+    Raises NoCompatibleConstructionError when both dimensions are even: then
+    no compatible orderings exist at all.  omega_r is m disjoint n-cycles and
+    omega_c is n disjoint m-cycles, so sign(omega_r o omega_c) =
+    (-1)^(m(n-1) + n(m-1)) = (-1)^(m+n) = +1, while an mn-cycle has sign
+    (-1)^(mn-1) = -1.  Raises NotHeffterError if a row or column does not
+    sum to 0, and SimplicityLostError if any constructed part fails the
+    simplicity check (which requires H to be simple in the natural orders to
+    begin with).
     """
     m, n = H.m, H.n
     if n % 2 == 1:
@@ -144,7 +155,8 @@ def compatible_orderings(H: HeffterArray) -> CompatibleOrderingPair:
         omega_c = CyclicOrdering(H, _col_parts(m, n))
     else:
         raise NoCompatibleConstructionError(
-            f"both dimensions even ({m} x {n}): no ordering construction known"
+            f"both dimensions even ({m} x {n}): no compatible orderings exist, since "
+            f"they compose to an even permutation and a cycle on all {m * n} cells is odd"
         )
     _check_parts_simple(omega_r, "row")
     _check_parts_simple(omega_c, "column")

@@ -12,7 +12,12 @@ valid permutation, or proves that none exists.
 backtracking over signed value placements on the free (m-1) x (n-1)
 subgrid; the last cell of every row and column is forced by a zero-sum
 constraint the moment its line fills, following a schedule that spreads
-those forced closures as evenly as possible through the search.
+those forced closures as evenly as possible through the search.  Each
+attempt is one loop over the schedule with an explicit stack of the values
+each step has left to try, so its depth is bounded by memory, not by the
+interpreter's recursion limit.  Since an H(m,n) exists for every
+m, n >= 3 and an attempt can reach each one, the generator's only failure
+is a spent node budget (proof at :func:`generate_heffter`).
 """
 
 from __future__ import annotations
@@ -216,19 +221,17 @@ def _fill_schedule(m: int, n: int) -> list[tuple[str, int, int]]:
     return schedule
 
 
-class _Exhausted(Exception):
-    """One generator attempt searched its whole (pruned) space: no array exists."""
-
-
 def _generate_attempt(
     m: int, n: int, values: list[int], budget: int
 ) -> list[list[int]] | None:
-    """One bounded depth-first pass over the fill schedule.
+    """One bounded depth-first pass over the fill schedule, as a single loop.
 
-    Returns the solved grid, None when ``budget`` nodes were spent, and
-    raises _Exhausted when the space was searched completely (value order
-    does not affect completeness, so one exhausted attempt settles
-    nonexistence).
+    ``tries[k]`` iterates the values step k has still to try: every value at
+    a free cell, at most the one value closing the line at a forced cell.
+    Nodes are counted at free cells only.  A step with nothing left to try
+    hands control back to the step before it, which takes its own value back
+    off ``grid`` and tries its next one.  Returns the solved grid, or None
+    when ``budget`` nodes are spent or the space is searched to its end.
     """
     v = 2 * m * n + 1
     bound = half_bound(v)  # == m*n
@@ -237,66 +240,47 @@ def _generate_attempt(
     used = [False] * (bound + 1)
     row_sums = [0] * m
     col_sums = [0] * n
+    tries: list[Iterator[int]] = []
     nodes = 0
-
-    def place(i: int, j: int, x: int) -> None:
+    step = 0
+    while step < len(schedule):
+        kind, i, j = schedule[step]
+        if step == len(tries):
+            if kind == "free":
+                tries.append(iter(values))
+            else:
+                r = -(row_sums[i] if kind == "close-row" else col_sums[j]) % v
+                tries.append(iter((r if r <= bound else r - v,) if r else ()))
+        else:  # back from step + 1: undo this cell
+            x = grid[i][j]
+            grid[i][j] = 0
+            used[abs(x)] = False
+            row_sums[i] -= x
+            col_sums[j] -= x
+        for x in tries[step]:
+            if not used[abs(x)]:
+                break
+        else:
+            tries.pop()
+            if not tries:
+                return None
+            step -= 1
+            continue
+        if kind == "free":
+            nodes += 1
+            if nodes > budget:
+                return None
         grid[i][j] = x
         used[abs(x)] = True
         row_sums[i] += x
         col_sums[j] += x
-
-    def unplace(i: int, j: int, x: int) -> None:
-        grid[i][j] = 0
-        used[abs(x)] = False
-        row_sums[i] -= x
-        col_sums[j] -= x
-
-    def forced_value(deficit: int) -> int | None:
-        """The canonical value completing a line to 0 mod v, if placeable."""
-        r = (-deficit) % v
-        if r == 0:
-            return None
-        x = r if r <= bound else r - v
-        return None if used[abs(x)] else x
-
-    def fill(step: int) -> bool:
-        nonlocal nodes
-        if step == len(schedule):
-            return True
-        kind, i, j = schedule[step]
-        if kind != "free":
-            x = forced_value(row_sums[i] if kind == "close-row" else col_sums[j])
-            if x is None:
-                return False
-            place(i, j, x)
-            if fill(step + 1):
-                return True
-            unplace(i, j, x)
-            return False
-        for x in values:
-            if used[abs(x)]:
-                continue
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(f"attempt exceeded {budget} nodes")
-            place(i, j, x)
-            if fill(step + 1):
-                return True
-            unplace(i, j, x)
-        return False
-
-    try:
-        if fill(0):
-            assert col_sums[n - 1] % v == 0  # implied by the other 0-sums
-            return grid
-        raise _Exhausted
-    except BudgetExceededError:
-        return None
+        step += 1
+    return grid
 
 
 def generate_heffter(
     m: int, n: int, cfg: SearchConfig = SearchConfig()
-) -> HeffterArray | None:
+) -> HeffterArray:
     """Backtracking construction of an m x n Heffter array over Z_{2mn+1}.
 
     Places signed values of distinct absolute value 1..mn on the free
@@ -307,9 +291,14 @@ def generate_heffter(
     value order and the full node budget.  Otherwise a fixed restart ladder
     is used: the plain ascending order first, then value orders shuffled
     with seeds 0, 1, 2, ..., each capped at a slice of the budget.  Both
-    modes are fully deterministic for a fixed configuration.  Returns None
-    if the search space is exhausted (no array exists); raises
-    BudgetExceededError when the budget runs out first.
+    modes are fully deterministic for a fixed configuration.  Raises
+    BudgetExceededError when every attempt has spent its budget.
+
+    No other outcome is possible, because an H(m,n) exists for every
+    m, n >= 3 (Archdeacon, Boothby & Dinitz, J. Combin. Des. 25 (2017)) and
+    an attempt that runs to its end has tried all of them: it gives the free
+    cells every assignment of distinct signed values, and each forced cell
+    can only hold the one canonical residue that closes its line.
     """
     if m < 3 or n < 3:
         raise OutOfRangeError(f"Heffter arrays need m, n >= 3, got {m} x {n}")
@@ -336,15 +325,11 @@ def generate_heffter(
     else:
         attempts = restart_ladder()
 
-    grid: list[list[int]] | None = None
-    try:
-        for values, budget in attempts:
-            grid = _generate_attempt(m, n, values, budget)
-            if grid is not None:
-                break
-    except _Exhausted:
-        return None
-    if grid is None:
+    for values, budget in attempts:
+        grid = _generate_attempt(m, n, values, budget)
+        if grid is not None:
+            break
+    else:
         raise BudgetExceededError(
             f"generator exceeded {cfg.node_budget} nodes for {m} x {n}"
         )

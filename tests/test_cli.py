@@ -3,16 +3,21 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heffter.arrayfile import parse_array, serialize_array
 from heffter.cli import main
+from heffter.core import from_rows
 from heffter.errors import ArrayFormatError
 from heffter.h3 import construct_raw_h3, simple_h3
 from heffter.modmath import partial_sums
+from heffter.search import generate_heffter
 
 H35_FILE = """heffter 3 5 31
 6 7 -10 -4 1
@@ -217,15 +222,86 @@ def test_cli_unknown_subcommand_exits_2() -> None:
     assert exc.value.code == 2
 
 
-def test_cli_embed_rejects_even_by_even(tmp_path: Path, capsys) -> None:
-    # A 4 x 4 array admits no ordering construction: check failure exit code.
-    from heffter.search import SearchConfig, generate_heffter
-
-    H = generate_heffter(4, 4, SearchConfig(node_budget=2_000_000))
-    assert H is not None
+def test_cli_embed_rejects_even_by_even(tmp_path: Path) -> None:
+    # A 4 x 4 array has no compatible orderings: check failure exit code.
     path = tmp_path / "h44.txt"
-    path.write_text(serialize_array(H), encoding="ascii")
-    assert main(["embed", "--file", str(path)]) == 1
+    path.write_text(serialize_array(generate_heffter(4, 4)), encoding="ascii")
+    for cmd in ("orderings", "embed"):
+        assert _run([cmd, "--file", str(path)]) == (
+            1,
+            "",
+            "error: both dimensions even (4 x 4): no compatible orderings exist, since "
+            "they compose to an even permutation and a cycle on all 16 cells is odd\n",
+        )
+
+
+# Distinct absolute values, so it parses, but no line sums to 0 mod 19.
+NON_ZERO_SUM = "heffter 3 3 19\n1 2 3\n4 5 6\n7 8 9\n"
+
+
+@pytest.mark.parametrize("flags", ([], ["--all"], ["--strategy", "exhaustive"]))
+def test_cli_search_rejects_non_zero_sum_lines(tmp_path: Path, flags: list[str]) -> None:
+    path = tmp_path / "ns.txt"
+    path.write_text(NON_ZERO_SUM, encoding="ascii")
+    assert _run(["search", "--file", str(path), *flags]) == (
+        1, "", "error: row 1 does not sum to 0 mod 19\n"
+    )
+    # Swapping two entries of row 1 keeps every row sum and breaks two columns.
+    path.write_text(H35_FILE.replace("6 7 -10", "7 6 -10"), encoding="ascii")
+    assert _run(["search", "--file", str(path), *flags]) == (
+        1, "", "error: column 1 does not sum to 0 mod 31\n"
+    )
+
+
+def test_cli_orderings_rejects_non_zero_sum_lines(tmp_path: Path) -> None:
+    path = tmp_path / "ns.txt"
+    path.write_text(NON_ZERO_SUM, encoding="ascii")
+    assert _run(["orderings", "--file", str(path)]) == (
+        1, "", "error: row part 1 does not sum to 0 mod 19\n"
+    )
+
+
+def test_cli_generate_past_the_recursion_limit_stops_at_budget() -> None:
+    code, out, err = _run(["generate", "--m", "40", "--n", "40", "--budget", "10000"])
+    assert (code, out) == (1, "")
+    assert err == "error: generator exceeded 10000 nodes for 40 x 40\n"
+
+
+@st.composite
+def _signed_arrays(draw: st.DrawFn) -> tuple[str, str]:
+    """A parsable m x n array (m, n <= 5) and a column permutation for it."""
+    m, n = draw(st.integers(3, 5)), draw(st.integers(3, 5))
+    values = draw(st.permutations(range(1, m * n + 1)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=m * n, max_size=m * n))
+    entries = [s * x for s, x in zip(signs, values)]
+    H = from_rows([entries[i * n : (i + 1) * n] for i in range(m)])
+    perm = draw(st.permutations(range(1, n + 1)))
+    return serialize_array(H), ",".join(map(str, perm))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_signed_arrays())
+def test_cli_file_commands_end_in_an_exit_code(case: tuple[str, str]) -> None:
+    # Columns of at most 5 distinct-|x| entries summing to 0 are always simple,
+    # so search never meets an array whose rows it can fix but columns it cannot.
+    text, perm = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "a.txt")
+        Path(path).write_text(text, encoding="ascii")
+        for cmd in (
+            ["verify"],
+            ["reorder", "--perm", perm],
+            ["orderings"],
+            ["develop", "--rows"],
+            ["develop", "--cols", "--expand"],
+            ["embed", "--expand"],
+            ["search"],
+            ["search", "--all"],
+            ["search", "--strategy", "exhaustive"],
+        ):
+            code, _, err = _run([*cmd, "--file", path])
+            assert code in (0, 1, 2)
+            assert err == "" or (err.startswith("error:") and err.count("\n") == 1)
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:

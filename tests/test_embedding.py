@@ -203,7 +203,6 @@ def test_five_row_biembedding_certifies() -> None:
     from heffter.search import SearchConfig, find_simple_column_permutation, generate_heffter
 
     H = generate_heffter(5, 4, SearchConfig(seed=3))
-    assert H is not None
     outcome = find_simple_column_permutation(H)
     assert outcome.permutation is not None
     S = reorder_columns(H, outcome.permutation)
@@ -295,8 +294,6 @@ def _simple_5xn(n: int, seed: int):
     try:
         H = generate_heffter(5, n, SearchConfig(node_budget=50_000, seed=seed))
     except BudgetExceededError:
-        return None
-    if H is None:
         return None
     outcome = find_simple_column_permutation(H)
     if outcome.permutation is None:

@@ -74,7 +74,6 @@ def test_is_single_cycle_small_cases() -> None:
 
 def test_both_even_rejected() -> None:
     H = generate_heffter(4, 4, SearchConfig(node_budget=2_000_000))
-    assert H is not None
     with pytest.raises(NoCompatibleConstructionError):
         compatible_orderings(H)
 
