@@ -13,8 +13,6 @@ reports 1-based line/column positions on every rejection.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .core import MIN_DIMENSION, HeffterArray, from_rows
 from .errors import ArrayFormatError
 from .modmath import half_bound
@@ -75,9 +73,8 @@ def parse_array(text: str) -> HeffterArray:
     return from_rows(rows)
 
 
-def serialize_array(H: HeffterArray, comments: Sequence[str] = ()) -> str:
+def serialize_array(H: HeffterArray) -> str:
     """Render an array in the file format; inverse of parse_array."""
     out = [f"heffter {H.m} {H.n} {H.modulus}"]
     out.extend(" ".join(str(x) for x in row) for row in H.cells)
-    out.extend(f"# {c}" for c in comments)
     return "\n".join(out) + "\n"

@@ -37,15 +37,12 @@ class UnsupportedError(HeffterError, ValueError):
 
 
 class NoCompatibleConstructionError(HeffterError):
-    """No compatible orderings: both dimensions are even, or the orbit splits.
+    """No compatible orderings, because both dimensions are even.
 
-    With m and n both even none can exist: the row and column orderings
-    compose to a permutation of sign (-1)^(m+n) = +1, and an mn-cycle is odd.
+    This is the only cause: the row and column orderings compose to a
+    permutation of sign (-1)^(m+n) = +1, and an mn-cycle is odd.  With m or
+    n odd the construction always composes to one mn-cycle.
     """
-
-
-class SimplicityLostError(HeffterError):
-    """A row or column ordering has a repeated partial sum."""
 
 
 class OrderingMismatchError(HeffterError, ValueError):
@@ -70,10 +67,6 @@ class InconsistentRotationError(HeffterError):
 
 class PinchPointError(HeffterError):
     """A vertex rotation splits into several cycles (pseudosurface, not a surface)."""
-
-
-class NotOrientableSurfaceError(HeffterError):
-    """Euler's formula gives a non-integer or negative genus."""
 
 
 class BudgetExceededError(HeffterError):

@@ -15,8 +15,8 @@ sweep across the n columns shifts the row index by exactly one, which is why
 the orbit covers all mn cells.  Reversing or rotating a zero-sum cyclic
 sequence permutes its partial-sum differences, so every reversed part of a
 Heffter array stays simple; both the zero sum and the simplicity are checked.
-When m and n are both even no compatible orderings exist (see
-:func:`compatible_orderings`).
+When m and n are both even no compatible orderings exist (the proof is at
+:class:`~heffter.errors.NoCompatibleConstructionError`).
 """
 
 from __future__ import annotations
@@ -28,12 +28,13 @@ from .core import HeffterArray
 from .errors import (
     NoCompatibleConstructionError,
     NotHeffterError,
+    NotSimpleError,
     OrderingMismatchError,
-    SimplicityLostError,
 )
 from .modmath import _partial_sums
 
 Cell = tuple[int, int]  # 0-based (row, column)
+Parts = tuple[tuple[Cell, ...], ...]
 
 T = TypeVar("T")
 
@@ -43,7 +44,7 @@ class CyclicOrdering:
     """One cyclic sequence of cells per row (or per column) of an array."""
 
     array: HeffterArray
-    parts: tuple[tuple[Cell, ...], ...]
+    parts: Parts
 
     def successor(self) -> dict[Cell, Cell]:
         """The permutation of cells sending each cell to the next in its part."""
@@ -99,24 +100,25 @@ def orbit(perm: Mapping[T, T], start: T) -> tuple[T, ...]:
     return tuple(out)
 
 
-def _row_parts(m: int, n: int, reversed_from: int | None = None) -> tuple[tuple[Cell, ...], ...]:
+def _lines(m: int, n: int, reversed_from: int, columns: bool = False) -> Parts:
+    """Rows (or columns) of an m x n grid; lines from ``reversed_from`` on run backwards."""
     parts = []
-    for i in range(m):
-        cells = tuple((i, j) for j in range(n))
-        if reversed_from is not None and i >= reversed_from:
-            cells = cells[::-1]
-        parts.append(cells)
+    for a in range(n if columns else m):
+        cells = tuple((b, a) for b in range(m)) if columns else tuple((a, b) for b in range(n))
+        parts.append(cells[::-1] if a >= reversed_from else cells)
     return tuple(parts)
 
 
-def _col_parts(m: int, n: int, reversed_from: int | None = None) -> tuple[tuple[Cell, ...], ...]:
-    parts = []
-    for j in range(n):
-        cells = tuple((i, j) for i in range(m))
-        if reversed_from is not None and j >= reversed_from:
-            cells = cells[::-1]
-        parts.append(cells)
-    return tuple(parts)
+def _ordering_parts(m: int, n: int) -> tuple[Parts, Parts]:
+    """Row and column parts of the construction; both sides even has none (see the error)."""
+    if n % 2 == 1:
+        return _lines(m, n, m), _lines(m, n, (n + 1) // 2, columns=True)
+    if m % 2 == 1:
+        return _lines(m, n, (m + 1) // 2), _lines(m, n, n, columns=True)
+    raise NoCompatibleConstructionError(
+        f"both dimensions even ({m} x {n}): no compatible orderings exist, since "
+        f"they compose to an even permutation and a cycle on all {m * n} cells is odd"
+    )
 
 
 def _check_parts_simple(ordering: CyclicOrdering, what: str) -> None:
@@ -126,7 +128,7 @@ def _check_parts_simple(ordering: CyclicOrdering, what: str) -> None:
         if sums[-1]:
             raise NotHeffterError(f"{what} part {k + 1} does not sum to 0 mod {v}")
         if len(set(sums)) != len(sums):
-            raise SimplicityLostError(
+            raise NotSimpleError(
                 f"{what} part {k + 1} has a repeated partial sum mod {v}"
             )
 
@@ -134,36 +136,14 @@ def _check_parts_simple(ordering: CyclicOrdering, what: str) -> None:
 def compatible_orderings(H: HeffterArray) -> CompatibleOrderingPair:
     """Build compatible simple orderings for H; needs m or n odd.
 
-    The returned composition cycle starts at cell (0, 0) and has length mn.
-    Raises NoCompatibleConstructionError when both dimensions are even: then
-    no compatible orderings exist at all.  omega_r is m disjoint n-cycles and
-    omega_c is n disjoint m-cycles, so sign(omega_r o omega_c) =
-    (-1)^(m(n-1) + n(m-1)) = (-1)^(m+n) = +1, while an mn-cycle has sign
-    (-1)^(mn-1) = -1.  Raises NotHeffterError if a row or column does not
-    sum to 0, and SimplicityLostError if any constructed part fails the
-    simplicity check (which requires H to be simple in the natural orders to
-    begin with).
+    The composition cycle starts at cell (0, 0) and needs no length check:
+    each sweep of n composed steps (or m, for even n) moves the walk one row
+    (or column), so the orbit covers all mn cells whenever m or n is odd.
+    Raises NoCompatibleConstructionError when both dimensions are even,
+    NotHeffterError if a row or column does not sum to 0, and NotSimpleError
+    if a constructed part has a repeated partial sum.
     """
-    m, n = H.m, H.n
-    if n % 2 == 1:
-        t = (n - 1) // 2
-        omega_r = CyclicOrdering(H, _row_parts(m, n))
-        omega_c = CyclicOrdering(H, _col_parts(m, n, reversed_from=t + 1))
-    elif m % 2 == 1:
-        half = (m + 1) // 2
-        omega_r = CyclicOrdering(H, _row_parts(m, n, reversed_from=half))
-        omega_c = CyclicOrdering(H, _col_parts(m, n))
-    else:
-        raise NoCompatibleConstructionError(
-            f"both dimensions even ({m} x {n}): no compatible orderings exist, since "
-            f"they compose to an even permutation and a cycle on all {m * n} cells is odd"
-        )
+    omega_r, omega_c = (CyclicOrdering(H, parts) for parts in _ordering_parts(H.m, H.n))
     _check_parts_simple(omega_r, "row")
     _check_parts_simple(omega_c, "column")
-    perm = compose(omega_r, omega_c)
-    cycle = orbit(perm, (0, 0))
-    if len(cycle) != m * n:
-        raise NoCompatibleConstructionError(
-            f"composition splits into several cycles (orbit {len(cycle)} of {m * n})"
-        )
-    return CompatibleOrderingPair(omega_r, omega_c, cycle)
+    return CompatibleOrderingPair(omega_r, omega_c, orbit(compose(omega_r, omega_c), (0, 0)))

@@ -29,7 +29,6 @@ from typing import Iterator, Sequence
 
 from .core import (
     HeffterArray,
-    VerificationReport,
     from_rows,
     reorder_columns,
     verify_heffter,
@@ -66,13 +65,12 @@ class SearchOutcome:
     """Result of a permutation search.
 
     ``permutation`` is None when the search space was exhausted without a
-    solution (a nonexistence verdict, not an error); ``report`` re-verifies
-    the reordered array through the independent axiom checker.
+    solution (a nonexistence verdict, not an error).  A returned permutation
+    has passed re-verification, so the reordered array is a simple Heffter array.
     """
 
     permutation: tuple[int, ...] | None
     nodes: int
-    report: VerificationReport | None
 
 
 def _search_backtracking(H: HeffterArray, budget: int) -> tuple[tuple[int, ...] | None, int]:
@@ -159,14 +157,17 @@ def find_simple_column_permutation(
         perm, nodes = _search_exhaustive(H, cfg.node_budget)
     else:
         perm, nodes = _search_backtracking(H, cfg.node_budget)
-    if perm is None:
-        return SearchOutcome(permutation=None, nodes=nodes, report=None)
-    report = verify_heffter(reorder_columns(H, perm))
-    if not (report.is_heffter and report.is_simple):
-        raise AssertionError(
-            f"search returned {perm} but re-verification failed"
-        )
-    return SearchOutcome(permutation=perm, nodes=nodes, report=report)
+    if perm is not None:
+        report = verify_heffter(reorder_columns(H, perm))
+        if not (report.is_heffter and report.is_simple):
+            raise AssertionError(f"search returned {perm} but re-verification failed")
+    return SearchOutcome(permutation=perm, nodes=nodes)
+
+
+def check_oracle_size(n: int) -> None:
+    """Raise TooLargeError when :func:`brute_force_oracle` cannot run on n columns."""
+    if n > ORACLE_MAX_COLUMNS:
+        raise TooLargeError(f"oracle enumerates n! permutations; n={n} > {ORACLE_MAX_COLUMNS}")
 
 
 def brute_force_oracle(H: HeffterArray) -> list[tuple[int, ...]]:
@@ -175,8 +176,7 @@ def brute_force_oracle(H: HeffterArray) -> list[tuple[int, ...]]:
     Independent of the pruned search: enumerates all n! permutations and
     checks each one's rows from scratch.  Restricted to n <= 9.
     """
-    if H.n > ORACLE_MAX_COLUMNS:
-        raise TooLargeError(f"oracle enumerates n! permutations; n={H.n} > {ORACLE_MAX_COLUMNS}")
+    check_oracle_size(H.n)
     v = H.modulus
     return [
         perm

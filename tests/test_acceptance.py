@@ -165,7 +165,7 @@ def test_criterion_5_certifies_n_10000_within_a_second() -> None:
         t0 = time.perf_counter()
         cert = certify(face_set)
         elapsed = time.perf_counter() - t0
-        assert cert.all_ok and cert.v == 60001
+        assert cert.all_ok and cert.vertices == 60001
         assert cert.genus == genus_closed_form(n)
         assert elapsed < 1.0, f"certify took {elapsed:.2f} s"
 

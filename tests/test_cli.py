@@ -253,6 +253,21 @@ def test_cli_search_rejects_non_zero_sum_lines(tmp_path: Path, flags: list[str])
     )
 
 
+def test_cli_search_all_rejects_more_than_nine_columns_before_searching(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    path = tmp_path / "raw26.txt"
+    path.write_text(serialize_array(construct_raw_h3(26)), encoding="ascii")
+    expected = (2, "", "error: oracle enumerates n! permutations; n=26 > 9\n")
+    assert _run(["search", "--file", str(path), "--all", "--budget", "100000"]) == expected
+
+    def no_search(*args: object) -> None:
+        raise AssertionError("search --all searched an array the oracle cannot enumerate")
+
+    monkeypatch.setattr("heffter.cli.find_simple_column_permutation", no_search)
+    assert _run(["search", "--file", str(path), "--all"]) == expected
+
+
 def test_cli_orderings_rejects_non_zero_sum_lines(tmp_path: Path) -> None:
     path = tmp_path / "ns.txt"
     path.write_text(NON_ZERO_SUM, encoding="ascii")

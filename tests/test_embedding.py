@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 
 from heffter.embedding import (
     CycleSystem,
+    EmbeddingCertificate,
     FaceSet,
-    _successors_exhaustive,
     build_face_set,
     certify,
-    certify_exhaustive,
     derive_rotations,
     develop_cycles,
     exact_pair_coverage,
@@ -35,6 +34,7 @@ from heffter.h3 import construct_raw_h3, simple_h3
 from heffter.modmath import partial_sums
 from heffter.orderings import CyclicOrdering, CompatibleOrderingPair, compatible_orderings
 from heffter.search import SearchConfig, find_simple_column_permutation, generate_heffter
+from oracles import _successors_exhaustive, certify_exhaustive
 
 
 def _pairs_covered_once(cycles, v: int) -> bool:
@@ -280,6 +280,19 @@ def test_quotient_witnesses_are_given_at_vertex_0() -> None:
         derive_rotations(looped)
 
 
+def test_degenerate_arc_witness_is_given_at_vertex_0() -> None:
+    # The repeated vertex ends the walk, so its zero step sits at a nonzero
+    # vertex; the quotient reports every witness at vertex 0.
+    H = simple_h3(3)
+    face_set = build_face_set(H, compatible_orderings(H))
+    rows = face_set.rows
+    base = rows.bases[0]
+    assert base[-1] != 0
+    looped = FaceSet(CycleSystem(rows.v, ((*base, base[-1]),) + rows.bases[1:]), face_set.cols)
+    with pytest.raises(NotAnEmbeddingError, match=r"^degenerate arc at vertex 0$"):
+        certify(looped)
+
+
 def _outcome(fn, arg):
     """A check's result, or the class of the HeffterError it raised."""
     try:
@@ -339,7 +352,10 @@ def _face_sets(draw) -> FaceSet:
 @given(_face_sets())
 def test_quotient_checks_match_exhaustive_oracle(face_set: FaceSet) -> None:
     v = face_set.v
-    assert _outcome(certify, face_set) == _outcome(certify_exhaustive, face_set)
+    cert = _outcome(certify, face_set)
+    assert cert == _outcome(certify_exhaustive, face_set)
+    if isinstance(cert, EmbeddingCertificate):  # a closed orientable surface
+        assert cert.euler_characteristic == 2 - 2 * cert.genus and cert.genus >= 0
     rotations = _outcome(derive_rotations, face_set)
     oracle = _outcome(_successors_exhaustive, face_set)
     if isinstance(oracle, tuple):

@@ -5,12 +5,13 @@ import pytest
 from heffter.core import from_rows, transpose
 from heffter.errors import (
     NoCompatibleConstructionError,
+    NotSimpleError,
     OrderingMismatchError,
-    SimplicityLostError,
 )
 from heffter.h3 import construct_raw_h3, simple_h3
 from heffter.orderings import (
     CyclicOrdering,
+    _ordering_parts,
     compatible_orderings,
     compose,
     is_single_cycle,
@@ -78,9 +79,24 @@ def test_both_even_rejected() -> None:
         compatible_orderings(H)
 
 
+@pytest.mark.parametrize("m", range(3, 16))
+def test_construction_composes_to_one_mn_cycle_whenever_a_side_is_odd(m: int) -> None:
+    # compatible_orderings does not check the orbit length; this is the proof's
+    # test.  The entries do not matter, so a grid of 1..mn stands in for H.
+    for n in range(3, 16):
+        if m % 2 == 0 and n % 2 == 0:
+            with pytest.raises(NoCompatibleConstructionError):
+                _ordering_parts(m, n)
+            continue
+        grid = from_rows([[i * n + j + 1 for j in range(n)] for i in range(m)])
+        rows, cols = _ordering_parts(m, n)
+        perm = compose(CyclicOrdering(grid, rows), CyclicOrdering(grid, cols))
+        assert len(perm) == m * n and is_single_cycle(perm), (m, n)
+
+
 def test_non_simple_input_detected() -> None:
     # The original published H(3,8) has a non-simple first row.
-    with pytest.raises(SimplicityLostError):
+    with pytest.raises(NotSimpleError):
         compatible_orderings(construct_raw_h3(8))
 
 

@@ -27,7 +27,6 @@ def test_search_fixes_the_published_h38() -> None:
     H = construct_raw_h3(8)
     outcome = find_simple_column_permutation(H)
     assert outcome.permutation is not None
-    assert outcome.report is not None and outcome.report.is_simple
     reordered = reorder_columns(H, outcome.permutation)
     assert is_simple_array(reordered)
     # The published reordering is one of the valid candidates.
@@ -98,7 +97,7 @@ def test_none_exists_verdict_on_unfixable_grid() -> None:
     grid = from_rows(((1, -1, 5), (2, 6, -2), (7, 3, -3)))
     assert brute_force_oracle(grid) == []
     outcome = find_simple_column_permutation(grid)
-    assert outcome.permutation is None and outcome.report is None
+    assert outcome.permutation is None
     exhaustive = find_simple_column_permutation(grid, SearchConfig(strategy="exhaustive"))
     assert exhaustive.permutation is None
 
