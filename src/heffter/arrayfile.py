@@ -6,6 +6,7 @@ Format (ASCII, LF line endings, single spaces):
     <n space-separated integers>   x m rows
     # optional trailing comment lines
 
+Every number is an ASCII decimal integer, an optional "-" then digits.
 Entries must be canonical nonzero residues mod v (|x| <= (v-1)/2) with
 pairwise distinct absolute values, and v must equal 2mn + 1.  Parsing
 reports 1-based line/column positions on every rejection.
@@ -13,9 +14,20 @@ reports 1-based line/column positions on every rejection.
 
 from __future__ import annotations
 
+import re
+
 from .core import MIN_DIMENSION, HeffterArray, from_rows
 from .errors import ArrayFormatError
 from .modmath import half_bound
+
+# Integers between single spaces; int() alone also reads "+1", "1_9" and "\u0661".
+_INTEGERS = re.compile(r"-?[0-9]+(?: -?[0-9]+)*")
+
+
+def _integer(token: str) -> int:
+    if not _INTEGERS.fullmatch(token):
+        raise ValueError(token)
+    return int(token)
 
 
 def parse_array(text: str) -> HeffterArray:
@@ -27,7 +39,7 @@ def parse_array(text: str) -> HeffterArray:
     if len(header) != 4 or header[0] != "heffter":
         raise ArrayFormatError('header must be "heffter m n v"', line=1)
     try:
-        m, n, v = int(header[1]), int(header[2]), int(header[3])
+        m, n, v = (_integer(t) for t in header[1:])
     except ValueError:
         raise ArrayFormatError("header dimensions must be integers", line=1) from None
     if m < MIN_DIMENSION or n < MIN_DIMENSION:
@@ -45,11 +57,13 @@ def parse_array(text: str) -> HeffterArray:
         tokens = lines[1 + i].split()
         if len(tokens) != n:
             raise ArrayFormatError(f"expected {n} entries, found {len(tokens)}", line=lineno)
+        # One match checks the whole row; only a row that fails it is read token by token.
+        to_int = int if _INTEGERS.fullmatch(" ".join(tokens)) else _integer
         row: list[int] = []
         for j, token in enumerate(tokens):
             col = j + 1
             try:
-                x = int(token)
+                x = to_int(token)
             except ValueError:
                 raise ArrayFormatError(f"{token!r} is not an integer", lineno, col) from None
             if x == 0:

@@ -3,7 +3,8 @@
 An m x n Heffter array holds canonical nonzero residues mod v = 2mn + 1 such
 that every row and every column sums to 0 mod v and the mn entries form a
 half-set of Z_v.  Rows are checked for simplicity left to right and columns
-top to bottom; no other orders are ever used by the verifier.
+top to bottom by :func:`verify_heffter`, the one reader of an array's
+lines: its report carries their partial sums beside the flags read off them.
 """
 
 from __future__ import annotations
@@ -76,13 +77,15 @@ def from_rows(rows: Sequence[Sequence[int]]) -> HeffterArray:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Per-row / per-column outcome of every Heffter axiom and simplicity check."""
+    """Per-row / per-column axiom and simplicity flags, and the partial sums read."""
 
     row_sum_ok: tuple[bool, ...]
     col_sum_ok: tuple[bool, ...]
     half_set_ok: bool
     row_simple: tuple[bool, ...]
     col_simple: tuple[bool, ...]
+    row_partial_sums: tuple[tuple[int, ...], ...]
+    col_partial_sums: tuple[tuple[int, ...], ...]
 
     @property
     def is_heffter(self) -> bool:
@@ -100,27 +103,23 @@ class VerificationReport:
 
 
 def verify_heffter(H: HeffterArray) -> VerificationReport:
-    """Check every Heffter axiom of H and report each flag separately."""
-    return _verify(H)[0]
-
-
-def _verify(H: HeffterArray) -> tuple[VerificationReport, list[list[int]], list[list[int]]]:
-    """The report plus the row and column partial sums it was read from.
+    """Check every Heffter axiom of H and report each flag and partial sum.
 
     A line sums to 0 iff its last partial sum is 0, and is simple iff its
     partial sums are distinct, so each line is summed exactly once.
     """
     v = H.modulus
-    row_sums = [_partial_sums(row, v) for row in H.cells]
-    col_sums = [_partial_sums(col, v) for col in zip(*H.cells)]
-    report = VerificationReport(
+    row_sums = tuple(tuple(_partial_sums(row, v)) for row in H.cells)
+    col_sums = tuple(tuple(_partial_sums(col, v)) for col in zip(*H.cells))
+    return VerificationReport(
         row_sum_ok=tuple(s[-1] == 0 for s in row_sums),
         col_sum_ok=tuple(s[-1] == 0 for s in col_sums),
         half_set_ok=_is_half_set(list(H.entries()), v),
         row_simple=tuple(len(set(s)) == len(s) for s in row_sums),
         col_simple=tuple(len(set(s)) == len(s) for s in col_sums),
+        row_partial_sums=row_sums,
+        col_partial_sums=col_sums,
     )
-    return report, row_sums, col_sums
 
 
 def is_simple_array(H: HeffterArray) -> bool:

@@ -54,17 +54,15 @@ Group = tuple[tuple[int, ...], Lin, Lin, int, tuple[int, ...]]
 class _Case:
     """One residue class of the main construction."""
 
-    first_n: int  # smallest n of the class; m = (n - first_n) / 8
+    # Smallest n of the class, congruent to n mod 8, so the scale
+    # m = (n - first_n) // 8 is exact; it is never negative, since n = 3, 4
+    # are explicit and first_n is 5, 6, 7 for n % 8 = 5, 6, 7 and 8..12
+    # for n % 8 = 0..4, and every n >= 5 of a class is at least its first_n.
+    first_n: int
     lead: tuple[tuple[Lin, ...], ...]
     repeat: tuple[tuple[LinR, ...], ...]
     groups: tuple[Group, ...]
     sums: tuple[tuple[tuple[Atom, ...], ...], ...]  # [row][group] -> atoms
-
-    def scale(self, n: int) -> int:
-        m, rem = divmod(n - self.first_n, 8)
-        if rem or m < 0:
-            raise OutOfRangeError(f"n={n} is not in this residue class")
-        return m
 
 
 _CASES: dict[int, _Case] = {
@@ -587,7 +585,7 @@ def construct_raw_h3(n: int) -> HeffterArray:
     if n == 4:
         return from_rows(H34)
     case = _CASES[n % 8]
-    m = case.scale(n)
+    m = (n - case.first_n) // 8
     v = 6 * n + 1
     rows: list[list[int]] = [[], [], []]
     for i in range(3):
@@ -613,7 +611,6 @@ def standard_reordering(n: int) -> tuple[int, ...]:
     if n == 8:
         return R8
     case = _CASES[n % 8]
-    case.scale(n)  # range check
     perm: list[int] = []
     for group in case.groups:
         perm.extend(_expand_group(group, n))
@@ -644,7 +641,7 @@ def _table_support(n: int) -> tuple[_Case, int]:
     if n < 9:
         raise UnsupportedError(f"no partial-sum tables cover n={n}")
     case = _CASES[n % 8]
-    return case, case.scale(n)
+    return case, (n - case.first_n) // 8
 
 
 def _row_table(n: int, row: int, atoms: Callable[[_Case], Iterable[Atom]]) -> frozenset[int]:

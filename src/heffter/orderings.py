@@ -12,9 +12,8 @@ The composed step moves along the row ordering first and then along the
 column ordering, so from h_{1,1} it visits h_{2,2}, h_{3,3}, ... with the
 vertical direction flipping once the reversed region is entered.  Each full
 sweep across the n columns shifts the row index by exactly one, which is why
-the orbit covers all mn cells.  Reversing or rotating a zero-sum cyclic
-sequence permutes its partial-sum differences, so every reversed part of a
-Heffter array stays simple; both the zero sum and the simplicity are checked.
+the orbit covers all mn cells.  A reversed zero-sum line is simple exactly
+when the line is, so every part is checked on its forward line.
 When m and n are both even no compatible orderings exist (the proof is at
 :class:`~heffter.errors.NoCompatibleConstructionError`).
 """
@@ -24,14 +23,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, TypeVar
 
-from .core import HeffterArray
+from .core import HeffterArray, verify_heffter
 from .errors import (
     NoCompatibleConstructionError,
     NotHeffterError,
     NotSimpleError,
     OrderingMismatchError,
 )
-from .modmath import _partial_sums
 
 Cell = tuple[int, int]  # 0-based (row, column)
 Parts = tuple[tuple[Cell, ...], ...]
@@ -121,29 +119,28 @@ def _ordering_parts(m: int, n: int) -> tuple[Parts, Parts]:
     )
 
 
-def _check_parts_simple(ordering: CyclicOrdering, what: str) -> None:
-    v = ordering.array.modulus
-    for k, seq in enumerate(ordering.element_parts()):
-        sums = _partial_sums(seq, v)
-        if sums[-1]:
-            raise NotHeffterError(f"{what} part {k + 1} does not sum to 0 mod {v}")
-        if len(set(sums)) != len(sums):
-            raise NotSimpleError(
-                f"{what} part {k + 1} has a repeated partial sum mod {v}"
-            )
-
-
 def compatible_orderings(H: HeffterArray) -> CompatibleOrderingPair:
     """Build compatible simple orderings for H; needs m or n odd.
 
     The composition cycle starts at cell (0, 0) and needs no length check:
     each sweep of n composed steps (or m, for even n) moves the walk one row
     (or column), so the orbit covers all mn cells whenever m or n is odd.
-    Raises NoCompatibleConstructionError when both dimensions are even,
-    NotHeffterError if a row or column does not sum to 0, and NotSimpleError
-    if a constructed part has a repeated partial sum.
+    Raises NoCompatibleConstructionError when both dimensions are even, then,
+    rows before columns, NotHeffterError for a part that does not sum to 0
+    and NotSimpleError for one with a repeated partial sum.  The flags are
+    read off the forward lines of :func:`~heffter.core.verify_heffter`: a
+    zero-sum line with partial sums s_1, ..., s_k (s_k = 0) reversed has
+    partial sums -s_{k-1}, ..., -s_1, 0, so it is simple iff the line is.
     """
     omega_r, omega_c = (CyclicOrdering(H, parts) for parts in _ordering_parts(H.m, H.n))
-    _check_parts_simple(omega_r, "row")
-    _check_parts_simple(omega_c, "column")
+    report, v = verify_heffter(H), H.modulus
+    for what, sums_ok, simple in (
+        ("row", report.row_sum_ok, report.row_simple),
+        ("column", report.col_sum_ok, report.col_simple),
+    ):
+        for k, (sum_ok, is_simple) in enumerate(zip(sums_ok, simple), 1):
+            if not sum_ok:
+                raise NotHeffterError(f"{what} part {k} does not sum to 0 mod {v}")
+            if not is_simple:
+                raise NotSimpleError(f"{what} part {k} has a repeated partial sum mod {v}")
     return CompatibleOrderingPair(omega_r, omega_c, orbit(compose(omega_r, omega_c), (0, 0)))

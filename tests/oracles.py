@@ -1,16 +1,42 @@
-"""Slow, independent oracles for the quotient checks of :mod:`heffter.embedding`.
+"""Slow, independent oracles for checks the package reads off a quotient.
 
-Every check on all v(m+n) expanded faces, O(v^2): the differential tests
-compare :func:`heffter.embedding.certify` and its helpers against these.
+Every check of :mod:`heffter.embedding` on all v(m+n) expanded faces,
+O(v^2), and the checks of :func:`heffter.orderings.compatible_orderings` on
+each part as it runs, reversed or not: the differential tests compare the
+package against these.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterator
 
+from heffter.core import HeffterArray
 from heffter.embedding import CycleSystem, EmbeddingCertificate, FaceSet, Walk, _certificate
-from heffter.errors import InconsistentRotationError, NotAnEmbeddingError, PinchPointError
-from heffter.orderings import orbit
+from heffter.errors import (
+    InconsistentRotationError,
+    NotAnEmbeddingError,
+    NotHeffterError,
+    NotSimpleError,
+    PinchPointError,
+)
+from heffter.orderings import _ordering_parts, orbit
+
+
+def check_ordering_parts(H: HeffterArray) -> None:
+    """The checks of ``compatible_orderings`` run on the parts themselves.
+
+    Sums every row part, then every column part, in the direction the part
+    runs, so reversed parts are checked without the reversal argument.
+    """
+    v = H.modulus
+    for what, parts in zip(("row", "column"), _ordering_parts(H.m, H.n)):
+        for k, part in enumerate(parts, 1):
+            sums = [s % v for s in accumulate(H.cells[i][j] for i, j in part)]
+            if sums[-1]:
+                raise NotHeffterError(f"{what} part {k} does not sum to 0 mod {v}")
+            if len(set(sums)) != len(sums):
+                raise NotSimpleError(f"{what} part {k} has a repeated partial sum mod {v}")
 
 
 def _arc_counts(v: int, faces: Iterator[Walk]) -> bytearray:

@@ -8,12 +8,12 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heffter.arrayfile import parse_array, serialize_array
 from heffter.cli import main
-from heffter.core import from_rows
+from heffter.core import HeffterArray, from_rows
 from heffter.errors import ArrayFormatError
 from heffter.h3 import construct_raw_h3, simple_h3
 from heffter.modmath import partial_sums
@@ -71,6 +71,31 @@ def test_parse_rejects_bad_entries_with_positions() -> None:
     with pytest.raises(ArrayFormatError) as err:
         parse_array(short_row)
     assert err.value.line == 3
+
+
+# int() reads each of these as the integer the format spells without the
+# "+", the "_" or the Arabic-Indic digits.
+@pytest.mark.parametrize(
+    "row, spelled, line, column",
+    (
+        ("6 7 -10 -4 1", "+6 7 -10 -4 1", 2, 1),
+        ("-9 5 2 -11 13", "-9 5 2 -11 1_3", 3, 5),
+        ("6 7 -10 -4 1", "\u0666 7 -10 -4 1", 2, 1),
+    ),
+)
+def test_parse_rejects_integer_spellings_the_format_does_not_define(
+    row: str, spelled: str, line: int, column: int
+) -> None:
+    with pytest.raises(ArrayFormatError) as err:
+        parse_array(H35_FILE.replace(row, spelled))
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value).startswith(f"{spelled.split()[column - 1]!r} is not an integer")
+
+
+@pytest.mark.parametrize("v", ("+31", "3_1", "\u0663\u0661"))
+def test_parse_rejects_header_integer_spellings_the_format_does_not_define(v: str) -> None:
+    with pytest.raises(ArrayFormatError, match="header dimensions must be integers"):
+        parse_array(H35_FILE.replace("heffter 3 5 31", f"heffter 3 5 {v}"))
 
 
 def test_cli_genus_prints_published_value(capsys: pytest.CaptureFixture[str]) -> None:
@@ -294,15 +319,10 @@ def _signed_arrays(draw: st.DrawFn) -> tuple[str, str]:
     return serialize_array(H), ",".join(map(str, perm))
 
 
-@settings(max_examples=60, deadline=None)
-@given(_signed_arrays())
-def test_cli_file_commands_end_in_an_exit_code(case: tuple[str, str]) -> None:
-    # Columns of at most 5 distinct-|x| entries summing to 0 are always simple,
-    # so search never meets an array whose rows it can fix but columns it cannot.
-    text, perm = case
+def _assert_file_commands_end_in_an_exit_code(data: bytes, perm: str) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "a.txt")
-        Path(path).write_text(text, encoding="ascii")
+        Path(path).write_bytes(data)
         for cmd in (
             ["verify"],
             ["reorder", "--perm", perm],
@@ -317,6 +337,52 @@ def test_cli_file_commands_end_in_an_exit_code(case: tuple[str, str]) -> None:
             code, _, err = _run([*cmd, "--file", path])
             assert code in (0, 1, 2)
             assert err == "" or (err.startswith("error:") and err.count("\n") == 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_signed_arrays())
+def test_cli_file_commands_end_in_an_exit_code(case: tuple[str, str]) -> None:
+    # Columns of at most 5 distinct-|x| entries summing to 0 are always simple,
+    # so search never meets an array whose rows it can fix but columns it cannot.
+    text, perm = case
+    _assert_file_commands_end_in_an_exit_code(text.encode("ascii"), perm)
+
+
+# Valid files to mutate: simple Heffter arrays, which reach every subcommand's
+# success path, beside the random signed arrays of _signed_arrays.
+_HEFFTER_FILES = (H35_FILE, *(serialize_array(simple_h3(n)) for n in (3, 4, 5)))
+_FUZZ_CHARS = "0123456789- \n#+_\t\rxh\u0661"
+
+
+@st.composite
+def _mutated_files(draw: st.DrawFn) -> tuple[str, str]:
+    """A valid m x n file (m, n <= 5) after up to four character edits, and a permutation."""
+    text, perm = draw(_signed_arrays() | st.sampled_from(_HEFFTER_FILES).map(lambda t: (t, "1,2,3")))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 3))
+        text = text[:at] + draw(st.text(_FUZZ_CHARS, max_size=3)) + text[at + cut :]
+    return text, perm
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated_files())
+def test_parse_array_on_mutated_files_returns_an_array_or_a_format_error(case: tuple[str, str]) -> None:
+    try:
+        assert isinstance(parse_array(case[0]), HeffterArray)
+    except ArrayFormatError:
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mutated_files())
+def test_cli_file_commands_on_mutated_files_end_in_an_exit_code(case: tuple[str, str]) -> None:
+    text, perm = case
+    try:
+        assume(parse_array(text).m <= 5)  # longer columns wait for the column-search fix
+    except ArrayFormatError:
+        pass
+    _assert_file_commands_end_in_an_exit_code(text.encode("utf-8"), perm)
 
 
 def _run(argv: list[str]) -> tuple[int, str, str]:

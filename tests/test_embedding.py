@@ -196,6 +196,18 @@ def test_exact_pair_coverage_detects_damage() -> None:
     assert not _pairs_covered_once(looped.cycles, 11)
 
 
+@pytest.mark.parametrize("m, n, seed", ((5, 4, None), (7, 5, 0), (4, 4, None)))
+def test_developed_rows_and_columns_of_generated_arrays_cover_each_pair_once(
+    m: int, n: int, seed: int | None
+) -> None:
+    # heffter develop prints pair_coverage_ok as a constant; this is its proof's
+    # test.  Lines of 4 or 5 entries are always simple; the columns of the
+    # seed-0 7 x 5 array happen to be simple, as develop_cycles requires.
+    H = generate_heffter(m, n, SearchConfig(seed=seed))
+    for parts in ([H.row(i) for i in range(m)], [H.column(j) for j in range(n)]):
+        assert exact_pair_coverage(develop_cycles(parts, H.modulus))
+
+
 def test_five_row_biembedding_certifies() -> None:
     # Every edge of K_41 on one 4-cycle and one 5-cycle face; the 3 x n
     # closed-form check does not apply (flag stays None).

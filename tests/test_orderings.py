@@ -1,10 +1,16 @@
 from __future__ import annotations
 
-import pytest
+from functools import lru_cache
 
-from heffter.core import from_rows, transpose
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from heffter.core import HeffterArray, from_rows, reorder_columns, transpose
 from heffter.errors import (
+    HeffterError,
     NoCompatibleConstructionError,
+    NotHeffterError,
     NotSimpleError,
     OrderingMismatchError,
 )
@@ -18,6 +24,7 @@ from heffter.orderings import (
     orbit,
 )
 from heffter.search import SearchConfig, generate_heffter
+from oracles import check_ordering_parts
 
 
 def test_published_trajectory_for_n5() -> None:
@@ -127,3 +134,83 @@ def test_manual_ordering_roundtrip() -> None:
     succ = rows.successor()
     assert succ[(0, 3)] == (0, 0)
     assert succ[(2, 1)] == (2, 2)
+
+
+def _reorder_rows(H: HeffterArray, order: tuple[int, ...]) -> HeffterArray:
+    return transpose(reorder_columns(transpose(H), order))
+
+
+def _swap(H: HeffterArray, a: tuple[int, int], b: tuple[int, int]) -> HeffterArray:
+    cells = [list(row) for row in H.cells]
+    cells[a[0]][a[1]], cells[b[0]][b[1]] = cells[b[0]][b[1]], cells[a[0]][a[1]]
+    return from_rows(cells)
+
+
+def _outcome(check, H: HeffterArray) -> tuple[type, str] | None:
+    try:
+        check(H)
+    except HeffterError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+RAW8 = construct_raw_h3(8)  # 3 x 8, zero-sum; row 1 has a repeated partial sum
+
+# (array, what the part-by-part check raises): odd n, even n with odd m and
+# both even, each with a failing forward and a failing reversed part.
+ORDERING_CASES = [
+    (simple_h3(5), None),
+    (simple_h3(4), None),
+    (RAW8, NotSimpleError),
+    # Rows 1..2 of a 3 x 8 array run forward, row 3 backward.
+    (_reorder_rows(RAW8, (2, 3, 1)), NotSimpleError),
+    # 8 x 3: columns 1..2 run top to bottom, column 3 bottom to top.
+    (reorder_columns(transpose(RAW8), (2, 3, 1)), NotSimpleError),
+    (from_rows(((1, 2, 3), (4, 5, 6), (7, 8, 9))), NotHeffterError),
+    # Swapping two cells of row 1 keeps the row sums and breaks two columns.
+    (_swap(simple_h3(5), (0, 0), (0, 4)), NotHeffterError),
+    (_swap(simple_h3(4), (2, 0), (2, 3)), NotHeffterError),
+    (generate_heffter(4, 4, SearchConfig(seed=1)), NoCompatibleConstructionError),
+    (_swap(generate_heffter(4, 4, SearchConfig(seed=1)), (0, 0), (1, 1)), NoCompatibleConstructionError),
+]
+
+
+@pytest.mark.parametrize("H, raised", ORDERING_CASES)
+def test_compatible_orderings_matches_part_by_part_check(H: HeffterArray, raised: type | None) -> None:
+    expected = _outcome(check_ordering_parts, H)
+    assert (expected and expected[0]) == raised
+    assert _outcome(compatible_orderings, H) == expected
+
+
+@lru_cache(maxsize=None)
+def _heffter_pool() -> tuple[HeffterArray, ...]:
+    generated = [
+        generate_heffter(m, n, SearchConfig(seed=seed))
+        for m, n, seed in ((3, 4, 1), (4, 3, 2), (3, 7, 0), (4, 4, 1), (5, 4, 0), (4, 5, 0), (5, 5, 0))
+    ]
+    return (*generated, *(simple_h3(n) for n in range(3, 10)), RAW8, transpose(RAW8))
+
+
+@st.composite
+def _rearranged_arrays(draw: st.DrawFn) -> HeffterArray:
+    """A pool array with its rows and columns permuted, and maybe two cells swapped.
+
+    Permuting columns changes which rows are simple and permuting rows which
+    columns are; a swap of two distinct cells breaks one or two line sums.
+    """
+    H = draw(st.sampled_from(_heffter_pool()))
+    H = reorder_columns(H, draw(st.permutations(range(1, H.n + 1))))
+    H = _reorder_rows(H, tuple(draw(st.permutations(range(1, H.m + 1)))))
+    if draw(st.booleans()):
+        cell = st.tuples(st.integers(0, H.m - 1), st.integers(0, H.n - 1))
+        H = _swap(H, draw(cell), draw(cell))
+    return H
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rearranged_arrays())
+@example(RAW8)
+def test_compatible_orderings_agrees_with_part_by_part_oracle(H: HeffterArray) -> None:
+    # compatible_orderings reads the forward lines of verify_heffter; the
+    # oracle sums every part in the direction it runs.
+    assert _outcome(compatible_orderings, H) == _outcome(check_ordering_parts, H)

@@ -196,3 +196,10 @@ def test_generator_reproduces_recorded_corpus() -> None:
         H = generate_heffter(m, n, SearchConfig(node_budget=stop, seed=seed))
         digest.update(serialize_array(H).encode())
     assert digest.hexdigest() == GENERATOR_DIGEST
+
+
+def test_generator_corpus_arrays_are_heffter() -> None:
+    # generate_heffter returns its grid unverified; the proof is in its docstring.
+    for (m, n, seed), stop in (GENERATOR_STOPS | LADDER_STOPS).items():
+        H = generate_heffter(m, n, SearchConfig(node_budget=stop, seed=seed))
+        assert verify_heffter(H).is_heffter, (m, n, seed)
