@@ -9,7 +9,9 @@ Format (ASCII, LF line endings, single spaces):
 Every number is an ASCII decimal integer, an optional "-" then digits.
 Entries must be canonical nonzero residues mod v (|x| <= (v-1)/2) with
 pairwise distinct absolute values, and v must equal 2mn + 1.  Parsing
-reports 1-based line/column positions on every rejection.
+reports the 1-based line of every rejection, and a column where one applies:
+an entry's position in its row, or the character position of any whitespace
+other than a single space between two fields.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from .modmath import half_bound
 
 # Integers between single spaces; int() alone also reads "+1", "1_9" and "\u0661".
 _INTEGERS = re.compile(r"-?[0-9]+(?: -?[0-9]+)*")
+# Whitespace that is not a single space between two fields.
+_BAD_SPACE = re.compile(r"\A\s|\s\Z|(?<=\s)\s|[^\S ]")
 
 
 def _integer(token: str) -> int:
@@ -30,12 +34,21 @@ def _integer(token: str) -> int:
     return int(token)
 
 
+def _fields(line: str, lineno: int) -> list[str]:
+    """The fields of a header or data line, which only single spaces may separate."""
+    bad = _BAD_SPACE.search(line)
+    if bad:
+        message = f"unexpected whitespace {bad.group()!r}; fields are separated by single spaces"
+        raise ArrayFormatError(message, lineno, bad.start() + 1)
+    return line.split()
+
+
 def parse_array(text: str) -> HeffterArray:
     """Parse an array file; reject malformed or non-half-set data."""
     lines = text.splitlines()
     if not lines:
         raise ArrayFormatError("empty file", line=1)
-    header = lines[0].split()
+    header = _fields(lines[0], 1)
     if len(header) != 4 or header[0] != "heffter":
         raise ArrayFormatError('header must be "heffter m n v"', line=1)
     try:
@@ -54,11 +67,14 @@ def parse_array(text: str) -> HeffterArray:
     seen_abs: dict[int, tuple[int, int]] = {}
     for i in range(m):
         lineno = i + 2
-        tokens = lines[1 + i].split()
+        line = lines[1 + i]
+        # One match checks the whole row; only a row that fails it is read field by field.
+        if _INTEGERS.fullmatch(line):
+            tokens, to_int = line.split(" "), int
+        else:
+            tokens, to_int = _fields(line, lineno), _integer
         if len(tokens) != n:
             raise ArrayFormatError(f"expected {n} entries, found {len(tokens)}", line=lineno)
-        # One match checks the whole row; only a row that fails it is read token by token.
-        to_int = int if _INTEGERS.fullmatch(" ".join(tokens)) else _integer
         row: list[int] = []
         for j, token in enumerate(tokens):
             col = j + 1

@@ -133,8 +133,7 @@ def _cmd_develop(args: argparse.Namespace) -> int:
 
 def _cmd_embed(args: argparse.Namespace) -> int:
     H = _load_array(args.file)
-    pair = compatible_orderings(H)
-    face_set = build_face_set(H, pair)
+    face_set = build_face_set(H)
     cert = certify(face_set)
     doc = {
         "array": _array_meta(H),

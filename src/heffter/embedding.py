@@ -6,16 +6,17 @@ translates; over a full Heffter system the translated cycles decompose the
 edge set of K_v exactly once per pair.  A :class:`CycleSystem` stores only
 the base walks and builds the translates when it is iterated.
 
-For a Heffter array with compatible orderings, the row base walks are
-traversed forward and the column base walks in reverse; a :class:`FaceSet`
-is that pair of cycle systems, one per face color.  Forward row walks
-realize each arc whose vertex difference lies in the half-set exactly once,
-and reversed column walks realize the complementary arcs, so every directed
-edge of K_v is on exactly one face and every undirected edge is on one face
-of each color.  Reading off the corner successor at each vertex yields the
-rotation system; the embedding lives on a genuine orientable surface
-exactly when every vertex rotation is a single (v-1)-cycle, and its genus
-follows from Euler's formula V - E + F = 2 - 2g.
+For a Heffter array with compatible orderings, each base walk is read off
+the partial sums :func:`~heffter.core.verify_heffter` reports for its line,
+run as its ordering runs; the row walks are traversed forward and the column
+walks in reverse, and a :class:`FaceSet` is that pair of cycle systems, one
+per face color.  Forward row walks realize each arc whose vertex difference
+lies in the half-set exactly once, and reversed column walks realize the
+complementary arcs, so every directed edge of K_v is on exactly one face and
+every undirected edge is on one face of each color.  Reading off the corner
+successor at each vertex yields the rotation system; the embedding lives on
+a genuine orientable surface exactly when every vertex rotation is a single
+(v-1)-cycle, and its genus follows from Euler's formula V - E + F = 2 - 2g.
 
 Every face set here is closed under x -> x + 1, so each check reduces to the
 m + n base walks (the current-graph argument; Gross and Tucker, *Topological
@@ -45,12 +46,11 @@ from .errors import (
     NotAnEmbeddingError,
     NotHeffterError,
     NotSimpleError,
-    OrderingMismatchError,
     OutOfRangeError,
     PinchPointError,
 )
 from .modmath import _partial_sums, is_half_set
-from .orderings import CompatibleOrderingPair, orbit
+from .orderings import _checked_lines, orbit
 
 Walk = tuple[int, ...]
 
@@ -168,26 +168,28 @@ class FaceSet:
         return self.v * (len(self.rows.bases) + len(self.cols.bases))
 
 
-def build_face_set(H: HeffterArray, pair: CompatibleOrderingPair) -> FaceSet:
-    """Assemble the 2-colored face set of K_v from H and its orderings.
+def _line_walk(sums: Sequence[int], backward: bool, v: int) -> Walk:
+    """Base walk of a zero-sum line; run backward, its partial sums are -s_{k-1}, ..., -s_1, 0."""
+    return (0, *(-s % v for s in sums[-2::-1])) if backward else (0, *sums[:-1])
 
-    Row parts are developed forward and column parts reversed.  This is the
-    only convention needed: reversing a face negates its arc differences, so
+
+def build_face_set(H: HeffterArray) -> FaceSet:
+    """Assemble the 2-colored face set of K_v from H and its compatible orderings.
+
+    Each base walk is read off the partial sums of :func:`verify_heffter`,
+    with its line run and checked as in :func:`compatible_orderings`.  Row
+    walks are developed forward and column walks reversed.  This is the only
+    convention needed: reversing a face negates its arc differences, so
     reversing the rows instead gives the same multiset {x, -x : x in H}, and
     in a translation-closed face set the number of faces on arc (a, b) is
     the multiplicity of b - a in that multiset.  Arc-exactness is left to
-    :func:`certify`.  A part that is not simple collapses a face to a walk
-    with a repeated vertex and is rejected.
+    :func:`certify`.
     """
-    if pair.omega_r.array != H or pair.omega_c.array != H:
-        raise OrderingMismatchError("ordering pair belongs to a different array")
+    report, row_from, col_from = _checked_lines(H)
     v = H.modulus
-    try:
-        rows = tuple(_base_walk(p, v) for p in pair.omega_r.element_parts())
-        cols = tuple((0, *_base_walk(p, v)[:0:-1]) for p in pair.omega_c.element_parts())
-    except NotSimpleError as exc:
-        raise NotAnEmbeddingError(f"non-simple part collapses a face: {exc}") from exc
-    return FaceSet(CycleSystem(v, rows), CycleSystem(v, cols))
+    rows = tuple(_line_walk(s, i >= row_from, v) for i, s in enumerate(report.row_partial_sums))
+    cols = tuple(_line_walk(s, j >= col_from, v) for j, s in enumerate(report.col_partial_sums))
+    return FaceSet(CycleSystem(v, rows), CycleSystem(v, tuple((0, *w[:0:-1]) for w in cols)))
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,7 @@ class NotHeffterError(HeffterError):
 
 
 class NotAnEmbeddingError(HeffterError):
-    """The face set fails arc-exactness or contains a non-simple face."""
+    """The face set fails arc-exactness: an arc is a loop or lies on no face or on several."""
 
 
 class InconsistentRotationError(HeffterError):

@@ -632,12 +632,14 @@ def _instantiate(atoms: Iterable[Atom], m: int, v: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _table_support(n: int) -> tuple[_Case, int]:
-    """The (case, m) pair whose printed tables cover n, else UnsupportedError."""
+def _table_support(n: int, row: int) -> tuple[_Case, int] | None:
+    """The (case, m) pair whose printed tables cover row 1..3 at n; None for the literal n = 8."""
+    if row not in (1, 2, 3):
+        raise OutOfRangeError(f"row must be 1..3, got {row}")
+    if n == 8:
+        return None
     if n < 3:
         raise OutOfRangeError(f"no 3 x n Heffter array for n={n} < 3")
-    if n == 8:
-        raise UnsupportedError("n=8 uses the printed literal sums")
     if n < 9:
         raise UnsupportedError(f"no partial-sum tables cover n={n}")
     case = _CASES[n % 8]
@@ -646,11 +648,10 @@ def _table_support(n: int) -> tuple[_Case, int]:
 
 def _row_table(n: int, row: int, atoms: Callable[[_Case], Iterable[Atom]]) -> frozenset[int]:
     """Row 1..3's partial-sum table at n, built from the atoms of n's class."""
-    if row not in (1, 2, 3):
-        raise OutOfRangeError(f"row must be 1..3, got {row}")
-    if n == 8:
+    support = _table_support(n, row)
+    if support is None:
         return SUMS8[row - 1]
-    case, m = _table_support(n)
+    case, m = support
     return _instantiate(atoms(case), m, 6 * n + 1)
 
 
@@ -740,9 +741,10 @@ def table_errata(n: int, row: int) -> tuple[frozenset[int], frozenset[int]]:
     :func:`corrected_row_sums`.  Both sets are empty when the printed table
     is exact.
     """
-    if n == 8:
+    support = _table_support(n, row)
+    if support is None:  # the printed n = 8 sums have no errata
         return frozenset(), frozenset()
-    _, m = _table_support(n)
+    _, m = support
     _, missing_atoms, spurious_atoms = TABLE_ERRATA.get((n % 8, row), _NO_ERRATA)
     v = 6 * n + 1
     return _instantiate(missing_atoms, m, v), _instantiate(spurious_atoms, m, v)

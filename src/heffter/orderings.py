@@ -12,8 +12,9 @@ The composed step moves along the row ordering first and then along the
 column ordering, so from h_{1,1} it visits h_{2,2}, h_{3,3}, ... with the
 vertical direction flipping once the reversed region is entered.  Each full
 sweep across the n columns shifts the row index by exactly one, which is why
-the orbit covers all mn cells.  A reversed zero-sum line is simple exactly
-when the line is, so every part is checked on its forward line.
+the orbit covers all mn cells.  A zero-sum line with partial sums s_1, ...,
+s_k (s_k = 0) reversed has partial sums -s_{k-1}, ..., -s_1, 0, so it is
+simple exactly when the line is, and each part is checked on its forward line.
 When m and n are both even no compatible orderings exist (the proof is at
 :class:`~heffter.errors.NoCompatibleConstructionError`).
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, TypeVar
 
-from .core import HeffterArray, verify_heffter
+from .core import HeffterArray, VerificationReport, verify_heffter
 from .errors import (
     NoCompatibleConstructionError,
     NotHeffterError,
@@ -51,11 +52,6 @@ class CyclicOrdering:
             for k, cell in enumerate(part):
                 succ[cell] = part[(k + 1) % len(part)]
         return succ
-
-    def element_parts(self) -> tuple[tuple[int, ...], ...]:
-        """The parts as sequences of array entries instead of coordinates."""
-        cells = self.array.cells
-        return tuple(tuple(cells[i][j] for i, j in part) for part in self.parts)
 
 
 @dataclass(frozen=True)
@@ -107,33 +103,20 @@ def _lines(m: int, n: int, reversed_from: int, columns: bool = False) -> Parts:
     return tuple(parts)
 
 
-def _ordering_parts(m: int, n: int) -> tuple[Parts, Parts]:
-    """Row and column parts of the construction; both sides even has none (see the error)."""
-    if n % 2 == 1:
-        return _lines(m, n, m), _lines(m, n, (n + 1) // 2, columns=True)
-    if m % 2 == 1:
-        return _lines(m, n, (m + 1) // 2), _lines(m, n, n, columns=True)
-    raise NoCompatibleConstructionError(
-        f"both dimensions even ({m} x {n}): no compatible orderings exist, since "
-        f"they compose to an even permutation and a cycle on all {m * n} cells is odd"
-    )
+def _checked_lines(H: HeffterArray) -> tuple[VerificationReport, int, int]:
+    """``verify_heffter(H)`` and the first backward row and column (m or n if none).
 
-
-def compatible_orderings(H: HeffterArray) -> CompatibleOrderingPair:
-    """Build compatible simple orderings for H; needs m or n odd.
-
-    The composition cycle starts at cell (0, 0) and needs no length check:
-    each sweep of n composed steps (or m, for even n) moves the walk one row
-    (or column), so the orbit covers all mn cells whenever m or n is odd.
     Raises NoCompatibleConstructionError when both dimensions are even, then,
     rows before columns, NotHeffterError for a part that does not sum to 0
-    and NotSimpleError for one with a repeated partial sum.  The flags are
-    read off the forward lines of :func:`~heffter.core.verify_heffter`: a
-    zero-sum line with partial sums s_1, ..., s_k (s_k = 0) reversed has
-    partial sums -s_{k-1}, ..., -s_1, 0, so it is simple iff the line is.
+    and NotSimpleError for one with a repeated partial sum on its forward line.
     """
-    omega_r, omega_c = (CyclicOrdering(H, parts) for parts in _ordering_parts(H.m, H.n))
-    report, v = verify_heffter(H), H.modulus
+    m, n, v = H.m, H.n, H.modulus
+    if m % 2 == 0 and n % 2 == 0:
+        raise NoCompatibleConstructionError(
+            f"both dimensions even ({m} x {n}): no compatible orderings exist, since "
+            f"they compose to an even permutation and a cycle on all {m * n} cells is odd"
+        )
+    report = verify_heffter(H)
     for what, sums_ok, simple in (
         ("row", report.row_sum_ok, report.row_simple),
         ("column", report.col_sum_ok, report.col_simple),
@@ -143,4 +126,19 @@ def compatible_orderings(H: HeffterArray) -> CompatibleOrderingPair:
                 raise NotHeffterError(f"{what} part {k} does not sum to 0 mod {v}")
             if not is_simple:
                 raise NotSimpleError(f"{what} part {k} has a repeated partial sum mod {v}")
+    # Odd n = 2t+1 runs columns t+2..n backward, even n (odd m) rows (m+3)/2..m.
+    return (report, m, (n + 1) // 2) if n % 2 == 1 else (report, (m + 1) // 2, n)
+
+
+def compatible_orderings(H: HeffterArray) -> CompatibleOrderingPair:
+    """Build compatible simple orderings for H; needs m or n odd.
+
+    The composition cycle starts at cell (0, 0) and needs no length check:
+    each sweep of n composed steps (or m, for even n) moves the walk one row
+    (or column), so the orbit covers all mn cells whenever m or n is odd.
+    Raises what :func:`_checked_lines` raises, in its order.
+    """
+    _, row_from, col_from = _checked_lines(H)
+    omega_r = CyclicOrdering(H, _lines(H.m, H.n, row_from))
+    omega_c = CyclicOrdering(H, _lines(H.m, H.n, col_from, columns=True))
     return CompatibleOrderingPair(omega_r, omega_c, orbit(compose(omega_r, omega_c), (0, 0)))

@@ -15,12 +15,34 @@ from heffter.core import HeffterArray
 from heffter.embedding import CycleSystem, EmbeddingCertificate, FaceSet, Walk, _certificate
 from heffter.errors import (
     InconsistentRotationError,
+    NoCompatibleConstructionError,
     NotAnEmbeddingError,
     NotHeffterError,
     NotSimpleError,
     PinchPointError,
 )
-from heffter.orderings import _ordering_parts, orbit
+from heffter.orderings import Parts, orbit
+
+
+def ordering_parts(m: int, n: int) -> tuple[Parts, Parts]:
+    """The construction's row and column parts of an m x n grid, as its proof states them.
+
+    Odd n = 2t+1: rows left to right, columns 1..t+1 top to bottom and the
+    rest bottom to top.  Even n, odd m: rows 1..(m+1)/2 left to right, the
+    rest right to left, and every column top to bottom.
+    """
+    rows = [tuple((i, j) for j in range(n)) for i in range(m)]
+    cols = [tuple((i, j) for i in range(m)) for j in range(n)]
+    if n % 2 == 1:
+        cols[(n + 1) // 2 :] = [col[::-1] for col in cols[(n + 1) // 2 :]]
+    elif m % 2 == 1:
+        rows[(m + 1) // 2 :] = [row[::-1] for row in rows[(m + 1) // 2 :]]
+    else:
+        raise NoCompatibleConstructionError(
+            f"both dimensions even ({m} x {n}): no compatible orderings exist, since "
+            f"they compose to an even permutation and a cycle on all {m * n} cells is odd"
+        )
+    return tuple(rows), tuple(cols)
 
 
 def check_ordering_parts(H: HeffterArray) -> None:
@@ -30,7 +52,7 @@ def check_ordering_parts(H: HeffterArray) -> None:
     runs, so reversed parts are checked without the reversal argument.
     """
     v = H.modulus
-    for what, parts in zip(("row", "column"), _ordering_parts(H.m, H.n)):
+    for what, parts in zip(("row", "column"), ordering_parts(H.m, H.n)):
         for k, part in enumerate(parts, 1):
             sums = [s % v for s in accumulate(H.cells[i][j] for i, j in part)]
             if sums[-1]:

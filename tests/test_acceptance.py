@@ -143,7 +143,7 @@ def test_criterion_5_biembedding_certification() -> None:
         for n in range(3, 1001):
             H = simple_h3(n)
             v = H.modulus
-            face_set = build_face_set(H, compatible_orderings(H))
+            face_set = build_face_set(H)
             if n <= 30:
                 rotations = derive_rotations(face_set)
                 for u in range(v):
@@ -161,7 +161,7 @@ def test_criterion_5_certifies_n_10000_within_a_second() -> None:
     with criterion(5, "biembedding of K_60001 (n = 10^4) certified in under 1 s"):
         n = 10**4
         H = simple_h3(n)
-        face_set = build_face_set(H, compatible_orderings(H))
+        face_set = build_face_set(H)
         t0 = time.perf_counter()
         cert = certify(face_set)
         elapsed = time.perf_counter() - t0

@@ -98,6 +98,37 @@ def test_parse_rejects_header_integer_spellings_the_format_does_not_define(v: st
         parse_array(H35_FILE.replace("heffter 3 5 31", f"heffter 3 5 {v}"))
 
 
+@pytest.mark.parametrize(
+    "text, line, column",
+    (
+        ("heffter 3 3 19\n1  2\t-3\n4 5 6\n7 8 9\n", 2, 3),
+        (H35_FILE.replace("heffter 3", "heffter  3"), 1, 9),
+        (H35_FILE.replace("heffter 3", "heffter\t3"), 1, 8),
+        (H35_FILE.replace("5 31", "5 31 "), 1, 15),
+        (H35_FILE.replace("6 7 -10", " 6 7 -10"), 2, 1),
+        (H35_FILE.replace("-4 1", "-4 1 "), 2, 13),
+        (H35_FILE.replace("-9 5 2 -11", "-9 5 2\t-11"), 3, 7),
+    ),
+)
+def test_parse_rejects_whitespace_other_than_single_spaces(
+    text: str, line: int, column: int
+) -> None:
+    with pytest.raises(ArrayFormatError, match="fields are separated by single spaces") as err:
+        parse_array(text)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+def test_cli_rejects_a_tab_in_an_array_file_with_exit_2(tmp_path: Path) -> None:
+    path = tmp_path / "tab.txt"
+    path.write_text(H35_FILE.replace("-9 5 2 -11", "-9 5 2\t-11"))
+    code, out, err = _run(["embed", "--file", str(path)])
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: unexpected whitespace '\\t'; fields are separated by single spaces"
+        " (line 3, column 7)\n"
+    )
+
+
 def test_cli_genus_prints_published_value(capsys: pytest.CaptureFixture[str]) -> None:
     assert main(["genus", "--n", "5"]) == 0
     assert capsys.readouterr().out.strip() == "94"

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,15 +24,16 @@ from heffter.errors import (
     HeffterError,
     InconsistentRotationError,
     ModulusMismatchError,
+    NoCompatibleConstructionError,
     NotAnEmbeddingError,
     NotHeffterError,
     NotSimpleError,
     PinchPointError,
 )
-from heffter.core import from_rows, reorder_columns
+from heffter.core import HeffterArray, from_rows, reorder_columns, transpose
 from heffter.h3 import construct_raw_h3, simple_h3
 from heffter.modmath import partial_sums
-from heffter.orderings import CyclicOrdering, CompatibleOrderingPair, compatible_orderings
+from heffter.orderings import compatible_orderings
 from heffter.search import SearchConfig, find_simple_column_permutation, generate_heffter
 from oracles import _successors_exhaustive, certify_exhaustive
 
@@ -101,7 +102,7 @@ def test_develop_rejects_non_canonical_entries() -> None:
 
 def test_face_set_counts_for_n3() -> None:
     H = simple_h3(3)
-    face_set = build_face_set(H, compatible_orderings(H))
+    face_set = build_face_set(H)
     faces = list(face_set.faces())
     assert len(faces) == 114  # 19*3 of each color; 342 arcs = 2 * C(19,2)
     assert sum(len(w) for w in faces) == 342
@@ -109,24 +110,43 @@ def test_face_set_counts_for_n3() -> None:
 
 def test_face_set_counts_for_n5() -> None:
     H = simple_h3(5)
-    cert = certify(build_face_set(H, compatible_orderings(H)))
+    cert = certify(build_face_set(H))
     assert cert.num_col_faces == 155  # 31 * 5 triangles
     assert cert.num_row_faces == 93  # 31 * 3 pentagons
     assert cert.faces == 248  # C(31,2) * (1/3 + 1/5)
 
 
-def test_broken_row_ordering_is_not_an_embedding() -> None:
-    # Hand-build an ordering pair around the non-simple original H(3,8).
-    H = construct_raw_h3(8)
-    omega_r = CyclicOrdering(H, tuple(tuple((i, j) for j in range(8)) for i in range(3)))
-    omega_c = CyclicOrdering(
-        H,
-        tuple(tuple((i, j) for i in range(3)) for j in range(4))
-        + tuple(tuple((i, j) for i in reversed(range(3))) for j in range(4, 8)),
-    )
-    pair = CompatibleOrderingPair(omega_r, omega_c, composition_cycle=())
-    with pytest.raises(NotAnEmbeddingError):
-        build_face_set(H, pair)
+def _raised(fn, H: HeffterArray) -> tuple[type, str] | None:
+    try:
+        fn(H)
+    except HeffterError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _swap_in_row(H: HeffterArray, i: int, a: int, b: int) -> HeffterArray:
+    """H with cells (i, a) and (i, b) exchanged: row i still sums to 0, columns a and b do not."""
+    cells = [list(row) for row in H.cells]
+    cells[i][a], cells[i][b] = cells[i][b], cells[i][a]
+    return from_rows(cells)
+
+
+@pytest.mark.parametrize(
+    "H, raised, message",
+    (
+        (generate_heffter(4, 4, SearchConfig(seed=1)), NoCompatibleConstructionError, "both dim"),
+        (from_rows(((1, 2, 3), (4, 5, 6), (7, 8, 9))), NotHeffterError, "row part 1 does not sum"),
+        (_swap_in_row(simple_h3(5), 0, 0, 4), NotHeffterError, "column part 1 does not sum"),
+        (construct_raw_h3(8), NotSimpleError, "row part 1 has a repeated"),
+        (transpose(construct_raw_h3(8)), NotSimpleError, "column part 1 has a repeated"),
+    ),
+)
+def test_build_face_set_raises_what_compatible_orderings_raises(
+    H: HeffterArray, raised: type, message: str
+) -> None:
+    expected = _raised(compatible_orderings, H)
+    assert expected is not None and expected[0] is raised and expected[1].startswith(message)
+    assert _raised(build_face_set, H) == expected
 
 
 def _successor_map(cycle) -> dict[int, int]:
@@ -137,7 +157,7 @@ def test_rotations_single_cycles_and_translation_invariant() -> None:
     for n in (3, 5):
         H = simple_h3(n)
         v = H.modulus
-        face_set = build_face_set(H, compatible_orderings(H))
+        face_set = build_face_set(H)
         rotations = derive_rotations(face_set)
         oracle = _successors_exhaustive(face_set)
         assert len(rotations.at_zero) == v - 1
@@ -153,7 +173,7 @@ def test_rotations_single_cycles_and_translation_invariant() -> None:
 
 def test_reversed_face_breaks_rotation_consistency() -> None:
     H = simple_h3(3)
-    face_set = build_face_set(H, compatible_orderings(H))
+    face_set = build_face_set(H)
     rows = face_set.rows
     flipped = FaceSet(
         rows=CycleSystem(rows.v, (tuple(reversed(rows.bases[0])),) + rows.bases[1:]),
@@ -167,7 +187,7 @@ def test_certificate_euler_data() -> None:
     expected = {3: (19, 171, 114, 20), 4: (25, 300, 175, 51), 5: (31, 465, 248, 94)}
     for n, (V, E, F, g) in expected.items():
         H = simple_h3(n)
-        cert = certify(build_face_set(H, compatible_orderings(H)))
+        cert = certify(build_face_set(H))
         assert (cert.vertices, cert.edges, cert.faces, cert.genus) == (V, E, F, g)
         assert cert.euler_characteristic == 2 - 2 * g
         assert cert.all_ok
@@ -218,7 +238,7 @@ def test_five_row_biembedding_certifies() -> None:
     outcome = find_simple_column_permutation(H)
     assert outcome.permutation is not None
     S = reorder_columns(H, outcome.permutation)
-    cert = certify(build_face_set(S, compatible_orderings(S)))
+    cert = certify(build_face_set(S))
     assert cert.all_ok
     assert cert.genus_matches_formula is None
     assert (cert.vertices, cert.edges, cert.faces) == (41, 820, 369)
@@ -227,7 +247,7 @@ def test_five_row_biembedding_certifies() -> None:
 
 def test_certify_rejects_incomplete_face_set() -> None:
     H = simple_h3(3)
-    face_set = build_face_set(H, compatible_orderings(H))
+    face_set = build_face_set(H)
     damaged = FaceSet(
         rows=CycleSystem(face_set.v, face_set.rows.bases[1:]),  # a base face and its translates gone
         cols=face_set.cols,
@@ -240,24 +260,33 @@ def test_certify_rejects_simple_zero_sum_array_that_is_not_a_half_set() -> None:
     # Rows and columns sum to 0 and are simple, but 2 and 3 are used twice:
     # the faces exist, and only certify's arc-exactness pass rejects them.
     A = from_rows([[1, 2, -3], [2, -4, 2], [-3, 2, 1]])
-    face_set = build_face_set(A, compatible_orderings(A))
+    face_set = build_face_set(A)
     with pytest.raises(NotAnEmbeddingError):
         certify(face_set)
 
 
-@pytest.mark.parametrize("n", (3, 4, 5, 8))
-def test_face_set_colors_are_developed_row_and_reversed_column_walks(n: int) -> None:
-    H = simple_h3(n)
+def _summed_walks(H: HeffterArray, parts) -> list[tuple[int, ...]]:
+    """(0, s_1, ..., s_{k-1}) of each part, summed along its cells here."""
     v = H.modulus
-    pair = compatible_orderings(H)
-    face_set = build_face_set(H, pair)
-    assert face_set.rows == develop_cycles(pair.omega_r.element_parts(), v)
-    expected_cols = []
-    for part in pair.omega_c.element_parts():
-        walk = [0, *partial_sums(part, v)[:-1]]
-        expected_cols.append((0, *reversed(walk[1:])))
-    assert list(face_set.cols.bases) == expected_cols
-    assert face_set.face_count == v * (H.m + H.n)
+    sums = (list(accumulate(H.cells[i][j] for i, j in part)) for part in parts)
+    return [(0, *(s % v for s in part_sums[:-1])) for part_sums in sums]
+
+
+@pytest.mark.parametrize("n", (3, 4, 5, 6, 7, 8, 9))
+def test_face_set_colors_are_developed_row_and_reversed_column_walks(n: int) -> None:
+    # Odd n reverses columns t+2..n, even n rows (m+1)/2+1..m; a transpose
+    # of simple_h3(n) is n x 3, and the searched 5 x n arrays have m = 5.
+    arrays = [simple_h3(n), transpose(simple_h3(n))]
+    if 4 <= n <= 7:
+        arrays.append(_simple_5xn(n, 0))
+    for H in arrays:
+        pair = compatible_orderings(H)
+        face_set = build_face_set(H)
+        assert list(face_set.rows.bases) == _summed_walks(H, pair.omega_r.parts)
+        assert list(face_set.cols.bases) == [
+            (0, *walk[:0:-1]) for walk in _summed_walks(H, pair.omega_c.parts)
+        ]
+        assert face_set.face_count == H.modulus * (H.m + H.n)
 
 
 def test_develop_keeps_one_base_walk_per_part() -> None:
@@ -272,7 +301,7 @@ def test_develop_keeps_one_base_walk_per_part() -> None:
 
 def test_quotient_witnesses_are_given_at_vertex_0() -> None:
     H = simple_h3(3)
-    face_set = build_face_set(H, compatible_orderings(H))
+    face_set = build_face_set(H)
     rows, cols = face_set.rows, face_set.cols
     dropped = FaceSet(CycleSystem(rows.v, rows.bases[1:]), cols)
     steps = {(b - a) % 19 for a, b in zip(rows.bases[0], rows.bases[0][1:] + rows.bases[0][:1])}
@@ -296,7 +325,7 @@ def test_degenerate_arc_witness_is_given_at_vertex_0() -> None:
     # The repeated vertex ends the walk, so its zero step sits at a nonzero
     # vertex; the quotient reports every witness at vertex 0.
     H = simple_h3(3)
-    face_set = build_face_set(H, compatible_orderings(H))
+    face_set = build_face_set(H)
     rows = face_set.rows
     base = rows.bases[0]
     assert base[-1] != 0
@@ -350,7 +379,7 @@ def _face_sets(draw) -> FaceSet:
         assume(H is not None)
     else:
         H = from_rows([[1, 2, -3], [2, -4, 2], [-3, 2, 1]])
-    face_set = build_face_set(H, compatible_orderings(H))
+    face_set = build_face_set(H)
     kind = draw(st.sampled_from(("none", "drop", "reverse", "duplicate", "mirror")))
     if kind == "none":
         return face_set

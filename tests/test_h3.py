@@ -115,6 +115,13 @@ def test_predicted_row_sums_unsupported_cases() -> None:
         predicted_row_sums(16, 4)
 
 
+@pytest.mark.parametrize("n, row", ((9, 7), (8, 0), (16, 4), (2, -1)))
+def test_every_table_function_rejects_a_row_outside_1_to_3(n: int, row: int) -> None:
+    for table in (predicted_row_sums, corrected_row_sums, table_errata):
+        with pytest.raises(OutOfRangeError, match=rf"^row must be 1\.\.3, got {row}$"):
+            table(n, row)
+
+
 def test_tables_match_direct_sums_up_to_errata() -> None:
     for n in range(9, 90):
         try:

@@ -17,14 +17,13 @@ from heffter.errors import (
 from heffter.h3 import construct_raw_h3, simple_h3
 from heffter.orderings import (
     CyclicOrdering,
-    _ordering_parts,
     compatible_orderings,
     compose,
     is_single_cycle,
     orbit,
 )
 from heffter.search import SearchConfig, generate_heffter
-from oracles import check_ordering_parts
+from oracles import check_ordering_parts, ordering_parts
 
 
 def test_published_trajectory_for_n5() -> None:
@@ -86,19 +85,34 @@ def test_both_even_rejected() -> None:
         compatible_orderings(H)
 
 
+def _zero_sum_grid(m: int, n: int) -> HeffterArray:
+    """Cells r_i * c_j with r = (1, ..., 1, 1 - m) and c = (1, ..., 1, 1 - n).
+
+    Row i has partial sums r_i * (1, 2, ..., n - 1, 0), so it sums to 0, and
+    its sums stay distinct mod v = 2mn + 1 because (m - 1)(n - 1) < mn; the
+    same holds for the columns.  compatible_orderings accepts the grid,
+    though it is no half-set.
+    """
+    r = [1] * (m - 1) + [1 - m]
+    c = [1] * (n - 1) + [1 - n]
+    return from_rows([[a * b for b in c] for a in r])
+
+
 @pytest.mark.parametrize("m", range(3, 16))
 def test_construction_composes_to_one_mn_cycle_whenever_a_side_is_odd(m: int) -> None:
     # compatible_orderings does not check the orbit length; this is the proof's
-    # test.  The entries do not matter, so a grid of 1..mn stands in for H.
+    # test.  The entries do not matter, so a zero-sum grid stands in for H.
     for n in range(3, 16):
+        grid = _zero_sum_grid(m, n)
         if m % 2 == 0 and n % 2 == 0:
             with pytest.raises(NoCompatibleConstructionError):
-                _ordering_parts(m, n)
+                compatible_orderings(grid)
             continue
-        grid = from_rows([[i * n + j + 1 for j in range(n)] for i in range(m)])
-        rows, cols = _ordering_parts(m, n)
-        perm = compose(CyclicOrdering(grid, rows), CyclicOrdering(grid, cols))
+        pair = compatible_orderings(grid)
+        assert (pair.omega_r.parts, pair.omega_c.parts) == ordering_parts(m, n), (m, n)
+        perm = compose(pair.omega_r, pair.omega_c)
         assert len(perm) == m * n and is_single_cycle(perm), (m, n)
+        assert len(pair.composition_cycle) == m * n, (m, n)
 
 
 def test_non_simple_input_detected() -> None:
@@ -112,13 +126,6 @@ def test_compose_rejects_mismatched_arrays() -> None:
     pair7 = compatible_orderings(simple_h3(7))
     with pytest.raises(OrderingMismatchError):
         compose(pair5.omega_r, pair7.omega_c)
-
-
-def test_element_parts_match_cells() -> None:
-    H = simple_h3(5)
-    pair = compatible_orderings(H)
-    assert pair.omega_r.element_parts()[0] == H.row(0)
-    assert pair.omega_c.element_parts()[4] == tuple(reversed(H.column(4)))
 
 
 def test_transposed_array_composes_too() -> None:
