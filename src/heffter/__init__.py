@@ -34,13 +34,7 @@ from .h3 import (
     table_errata,
 )
 from .modmath import canon, is_half_set, is_simple, partial_sums
-from .orderings import (
-    CompatibleOrderingPair,
-    CyclicOrdering,
-    compatible_orderings,
-    compose,
-    is_single_cycle,
-)
+from .orderings import CompatibleOrderingPair, compatible_orderings
 from .search import (
     SearchConfig,
     SearchOutcome,
@@ -52,7 +46,6 @@ from .search import (
 __all__ = [
     "CompatibleOrderingPair",
     "CycleSystem",
-    "CyclicOrdering",
     "EmbeddingCertificate",
     "FaceSet",
     "HeffterArray",
@@ -65,7 +58,6 @@ __all__ = [
     "canon",
     "certify",
     "compatible_orderings",
-    "compose",
     "construct_raw_h3",
     "corrected_row_sums",
     "derive_rotations",
@@ -78,7 +70,6 @@ __all__ = [
     "is_half_set",
     "is_simple",
     "is_simple_array",
-    "is_single_cycle",
     "is_translation_closed",
     "parse_array",
     "partial_sums",

@@ -11,7 +11,8 @@ Entries must be canonical nonzero residues mod v (|x| <= (v-1)/2) with
 pairwise distinct absolute values, and v must equal 2mn + 1.  Parsing
 reports the 1-based line of every rejection, and a column where one applies:
 an entry's position in its row, or the character position of any whitespace
-other than a single space between two fields.
+other than a single space between two fields.  Only LF ends a line, so a CR
+or any other line break is such whitespace.
 """
 
 from __future__ import annotations
@@ -45,9 +46,9 @@ def _fields(line: str, lineno: int) -> list[str]:
 
 def parse_array(text: str) -> HeffterArray:
     """Parse an array file; reject malformed or non-half-set data."""
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         raise ArrayFormatError("empty file", line=1)
+    lines = text.removesuffix("\n").split("\n")
     header = _fields(lines[0], 1)
     if len(header) != 4 or header[0] != "heffter":
         raise ArrayFormatError('header must be "heffter m n v"', line=1)

@@ -92,8 +92,8 @@ def _cmd_orderings(args: argparse.Namespace) -> int:
     cycle = pair.composition_cycle
     doc = {
         "array": _array_meta(H),
-        "row_parts": [[[i + 1, j + 1] for i, j in part] for part in pair.omega_r.parts],
-        "col_parts": [[[i + 1, j + 1] for i, j in part] for part in pair.omega_c.parts],
+        "row_parts": [[[i + 1, j + 1] for i, j in part] for part in pair.row_parts],
+        "col_parts": [[[i + 1, j + 1] for i, j in part] for part in pair.col_parts],
         "composition_cycle": [[i + 1, j + 1] for i, j in cycle],
         "orbit_length": len(cycle),
         "single_cycle": True,  # compatible_orderings proves the orbit covers all mn cells

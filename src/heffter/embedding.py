@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Iterator, Mapping, Sequence, TypeVar
 
 from .core import HeffterArray
 from .errors import (
@@ -50,9 +50,20 @@ from .errors import (
     PinchPointError,
 )
 from .modmath import _partial_sums, is_half_set
-from .orderings import _checked_lines, orbit
+from .orderings import _checked_lines
 
 Walk = tuple[int, ...]
+T = TypeVar("T")
+
+
+def orbit(perm: Mapping[T, T], start: T) -> tuple[T, ...]:
+    """The orbit of ``start`` under repeated application of ``perm``."""
+    out = [start]
+    cur = perm[start]
+    while cur != start:
+        out.append(cur)
+        cur = perm[cur]
+    return tuple(out)
 
 
 def _base_walk(part: Sequence[int], v: int) -> Walk:

@@ -45,10 +45,6 @@ class NoCompatibleConstructionError(HeffterError):
     """
 
 
-class OrderingMismatchError(HeffterError, ValueError):
-    """Two orderings do not belong to the same array."""
-
-
 class NotSimpleError(HeffterError):
     """A Heffter-system part has repeated partial sums and cannot be developed."""
 

@@ -12,9 +12,14 @@ The composed step moves along the row ordering first and then along the
 column ordering, so from h_{1,1} it visits h_{2,2}, h_{3,3}, ... with the
 vertical direction flipping once the reversed region is entered.  Each full
 sweep across the n columns shifts the row index by exactly one, which is why
-the orbit covers all mn cells.  A zero-sum line with partial sums s_1, ...,
-s_k (s_k = 0) reversed has partial sums -s_{k-1}, ..., -s_1, 0, so it is
-simple exactly when the line is, and each part is checked on its forward line.
+the orbit covers all mn cells.  Every line runs forward or backward, so the
+walk needs only the first backward row and column: :func:`compose` takes
+those two thresholds and walks the mn steps directly, with no table of
+successors.  It keeps the name of the permutation it walks because the
+benchmark's tracer (``perfbench/tracer.py``) times it as ``orderings.compose``.
+A zero-sum line with partial sums s_1, ..., s_k (s_k = 0) reversed has
+partial sums -s_{k-1}, ..., -s_1, 0, so it is simple exactly when the line
+is, and each part is checked on its forward line.
 When m and n are both even no compatible orderings exist (the proof is at
 :class:`~heffter.errors.NoCompatibleConstructionError`).
 """
@@ -22,76 +27,39 @@ When m and n are both even no compatible orderings exist (the proof is at
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, TypeVar
 
 from .core import HeffterArray, VerificationReport, verify_heffter
-from .errors import (
-    NoCompatibleConstructionError,
-    NotHeffterError,
-    NotSimpleError,
-    OrderingMismatchError,
-)
+from .errors import NoCompatibleConstructionError, NotHeffterError, NotSimpleError
 
 Cell = tuple[int, int]  # 0-based (row, column)
 Parts = tuple[tuple[Cell, ...], ...]
 
-T = TypeVar("T")
-
-
-@dataclass(frozen=True)
-class CyclicOrdering:
-    """One cyclic sequence of cells per row (or per column) of an array."""
-
-    array: HeffterArray
-    parts: Parts
-
-    def successor(self) -> dict[Cell, Cell]:
-        """The permutation of cells sending each cell to the next in its part."""
-        succ: dict[Cell, Cell] = {}
-        for part in self.parts:
-            for k, cell in enumerate(part):
-                succ[cell] = part[(k + 1) % len(part)]
-        return succ
-
 
 @dataclass(frozen=True)
 class CompatibleOrderingPair:
-    """Row and column orderings whose composition is one cycle on all cells."""
+    """Row and column parts, each a cyclic sequence of cells, and the one cycle they compose to."""
 
-    omega_r: CyclicOrdering
-    omega_c: CyclicOrdering
+    row_parts: Parts
+    col_parts: Parts
     composition_cycle: tuple[Cell, ...]
 
 
-def compose(omega_r: CyclicOrdering, omega_c: CyclicOrdering) -> dict[Cell, Cell]:
-    """The composed cell permutation: a row step followed by a column step.
+def compose(m: int, n: int, row_from: int, col_from: int) -> tuple[Cell, ...]:
+    """The orbit of cell (0, 0) under a row step followed by a column step.
 
-    Matches the published trajectory of the construction (from h_{1,1} the
-    orbit continues h_{2,2}, h_{3,3}, ..., with the vertical direction
-    flipping after the top-to-bottom columns end).
+    Rows from ``row_from`` and columns from ``col_from`` run backward.  From
+    (i, j) the row step goes to column j + 1, or j - 1 on a backward row, and
+    the column step then to row i + 1, or i - 1 on a backward column.  With
+    the thresholds of :func:`_checked_lines` the mn cells walked are distinct
+    (see :func:`compatible_orderings`), so they are the whole orbit.
     """
-    if omega_r.array != omega_c.array:
-        raise OrderingMismatchError("orderings belong to different arrays")
-    succ_r = omega_r.successor()
-    succ_c = omega_c.successor()
-    if set(succ_r) != set(succ_c):
-        raise OrderingMismatchError("orderings cover different cell sets")
-    return {cell: succ_c[succ_r[cell]] for cell in succ_r}
-
-
-def is_single_cycle(perm: Mapping[T, T]) -> bool:
-    """True iff the permutation has exactly one orbit covering its domain."""
-    return bool(perm) and len(orbit(perm, next(iter(perm)))) == len(perm)
-
-
-def orbit(perm: Mapping[T, T], start: T) -> tuple[T, ...]:
-    """The orbit of ``start`` under repeated application of ``perm``."""
-    out = [start]
-    cur = perm[start]
-    while cur != start:
-        out.append(cur)
-        cur = perm[cur]
-    return tuple(out)
+    cycle: list[Cell] = []
+    i = j = 0
+    for _ in range(m * n):
+        cycle.append((i, j))
+        j = (j - 1 if i >= row_from else j + 1) % n
+        i = (i - 1 if j >= col_from else i + 1) % m
+    return tuple(cycle)
 
 
 def _lines(m: int, n: int, reversed_from: int, columns: bool = False) -> Parts:
@@ -139,6 +107,7 @@ def compatible_orderings(H: HeffterArray) -> CompatibleOrderingPair:
     Raises what :func:`_checked_lines` raises, in its order.
     """
     _, row_from, col_from = _checked_lines(H)
-    omega_r = CyclicOrdering(H, _lines(H.m, H.n, row_from))
-    omega_c = CyclicOrdering(H, _lines(H.m, H.n, col_from, columns=True))
-    return CompatibleOrderingPair(omega_r, omega_c, orbit(compose(omega_r, omega_c), (0, 0)))
+    m, n = H.m, H.n
+    return CompatibleOrderingPair(
+        _lines(m, n, row_from), _lines(m, n, col_from, columns=True), compose(m, n, row_from, col_from)
+    )

@@ -1,9 +1,9 @@
 """Slow, independent oracles for checks the package reads off a quotient.
 
 Every check of :mod:`heffter.embedding` on all v(m+n) expanded faces,
-O(v^2), and the checks of :func:`heffter.orderings.compatible_orderings` on
-each part as it runs, reversed or not: the differential tests compare the
-package against these.
+O(v^2), the checks of :func:`heffter.orderings.compatible_orderings` on
+each part as it runs, reversed or not, and its composition cycle from
+successor tables: the differential tests compare the package against these.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from itertools import accumulate
 from typing import Iterator
 
 from heffter.core import HeffterArray
-from heffter.embedding import CycleSystem, EmbeddingCertificate, FaceSet, Walk, _certificate
+from heffter.embedding import CycleSystem, EmbeddingCertificate, FaceSet, Walk, _certificate, orbit
 from heffter.errors import (
     InconsistentRotationError,
     NoCompatibleConstructionError,
@@ -21,7 +21,7 @@ from heffter.errors import (
     NotSimpleError,
     PinchPointError,
 )
-from heffter.orderings import Parts, orbit
+from heffter.orderings import Cell, Parts
 
 
 def ordering_parts(m: int, n: int) -> tuple[Parts, Parts]:
@@ -43,6 +43,19 @@ def ordering_parts(m: int, n: int) -> tuple[Parts, Parts]:
             f"they compose to an even permutation and a cycle on all {m * n} cells is odd"
         )
     return tuple(rows), tuple(cols)
+
+
+def composition_orbit(row_parts: Parts, col_parts: Parts) -> tuple[Cell, ...]:
+    """The orbit of cell (0, 0) under a row step then a column step, from successor tables.
+
+    Each part sends a cell to the next one in the part, cyclically; the two
+    tables are composed over every cell before the orbit is walked.
+    """
+    succ_r, succ_c = (
+        {cell: part[(k + 1) % len(part)] for part in parts for k, cell in enumerate(part)}
+        for parts in (row_parts, col_parts)
+    )
+    return orbit({cell: succ_c[succ_r[cell]] for cell in succ_r}, (0, 0))
 
 
 def check_ordering_parts(H: HeffterArray) -> None:

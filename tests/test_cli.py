@@ -46,7 +46,7 @@ def test_parse_rejects_malformed_inputs() -> None:
         "heffter 2 5 21\n": "m, n >=",
     }
     for text, hint in cases.items():
-        with pytest.raises(ArrayFormatError):
+        with pytest.raises(ArrayFormatError, match=hint):
             parse_array(text)
 
 
@@ -108,6 +108,11 @@ def test_parse_rejects_header_integer_spellings_the_format_does_not_define(v: st
         (H35_FILE.replace("6 7 -10", " 6 7 -10"), 2, 1),
         (H35_FILE.replace("-4 1", "-4 1 "), 2, 13),
         (H35_FILE.replace("-9 5 2 -11", "-9 5 2\t-11"), 3, 7),
+        # LF alone ends a line: other line breaks are whitespace inside one.
+        (H35_FILE.replace("\n", "\r\n"), 1, 15),
+        (H35_FILE.replace("\n", "\r"), 1, 15),
+        (H35_FILE.replace("\n", "\u2028"), 1, 15),
+        (H35_FILE.replace("-9 5 2", "-9 5\x0c2"), 3, 5),
     ),
 )
 def test_parse_rejects_whitespace_other_than_single_spaces(
@@ -126,6 +131,17 @@ def test_cli_rejects_a_tab_in_an_array_file_with_exit_2(tmp_path: Path) -> None:
     assert err == (
         "error: unexpected whitespace '\\t'; fields are separated by single spaces"
         " (line 3, column 7)\n"
+    )
+
+
+def test_cli_verify_rejects_a_crlf_array_file_with_exit_2(tmp_path: Path) -> None:
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(H35_FILE.replace("\n", "\r\n").encode("ascii"))
+    assert _run(["verify", "--file", str(path)]) == (
+        2,
+        "",
+        "error: unexpected whitespace '\\r'; fields are separated by single spaces"
+        " (line 1, column 15)\n",
     )
 
 

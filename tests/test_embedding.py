@@ -282,9 +282,9 @@ def test_face_set_colors_are_developed_row_and_reversed_column_walks(n: int) -> 
     for H in arrays:
         pair = compatible_orderings(H)
         face_set = build_face_set(H)
-        assert list(face_set.rows.bases) == _summed_walks(H, pair.omega_r.parts)
+        assert list(face_set.rows.bases) == _summed_walks(H, pair.row_parts)
         assert list(face_set.cols.bases) == [
-            (0, *walk[:0:-1]) for walk in _summed_walks(H, pair.omega_c.parts)
+            (0, *walk[:0:-1]) for walk in _summed_walks(H, pair.col_parts)
         ]
         assert face_set.face_count == H.modulus * (H.m + H.n)
 

@@ -12,18 +12,11 @@ from heffter.errors import (
     NoCompatibleConstructionError,
     NotHeffterError,
     NotSimpleError,
-    OrderingMismatchError,
 )
 from heffter.h3 import construct_raw_h3, simple_h3
-from heffter.orderings import (
-    CyclicOrdering,
-    compatible_orderings,
-    compose,
-    is_single_cycle,
-    orbit,
-)
+from heffter.orderings import compatible_orderings, compose
 from heffter.search import SearchConfig, generate_heffter
-from oracles import check_ordering_parts, ordering_parts
+from oracles import check_ordering_parts, composition_orbit, ordering_parts
 
 
 def test_published_trajectory_for_n5() -> None:
@@ -37,7 +30,7 @@ def test_published_trajectory_for_n5() -> None:
 def test_direction_split_of_columns_for_odd_n() -> None:
     pair = compatible_orderings(simple_h3(5))
     # n = 5 = 2t+1 with t = 2: columns 1..3 run top-down, columns 4..5 bottom-up.
-    parts = pair.omega_c.parts
+    parts = pair.col_parts
     assert parts[0] == ((0, 0), (1, 0), (2, 0))
     assert parts[2] == ((0, 2), (1, 2), (2, 2))
     assert parts[3] == ((2, 3), (1, 3), (0, 3))
@@ -48,35 +41,33 @@ def test_even_n_uses_transposed_construction() -> None:
     # n = 4 even, m = 3 odd: rows 1..2 run left-right, row 3 right-left,
     # every column top-down; the composition is a single 12-cycle.
     pair = compatible_orderings(simple_h3(4))
-    assert len(pair.composition_cycle) == 12
-    assert pair.omega_r.parts[0] == ((0, 0), (0, 1), (0, 2), (0, 3))
-    assert pair.omega_r.parts[2] == ((2, 3), (2, 2), (2, 1), (2, 0))
-    assert pair.omega_c.parts[0] == ((0, 0), (1, 0), (2, 0))
+    assert len(set(pair.composition_cycle)) == 12
+    assert pair.row_parts[0] == ((0, 0), (0, 1), (0, 2), (0, 3))
+    assert pair.row_parts[2] == ((2, 3), (2, 2), (2, 1), (2, 0))
+    assert pair.col_parts[0] == ((0, 0), (1, 0), (2, 0))
 
 
 @pytest.mark.parametrize("n", range(3, 40))
 def test_composition_single_cycle_of_length_3n(n: int) -> None:
-    pair = compatible_orderings(simple_h3(n))
-    assert len(pair.composition_cycle) == 3 * n
-    assert is_single_cycle(compose(pair.omega_r, pair.omega_c))
+    cycle = compatible_orderings(simple_h3(n)).composition_cycle
+    assert len(set(cycle)) == 3 * n
+    assert cycle == composition_orbit(*ordering_parts(3, n))
 
 
 def test_orbit_length_for_n7() -> None:
-    pair = compatible_orderings(simple_h3(7))
-    perm = compose(pair.omega_r, pair.omega_c)
-    assert len(orbit(perm, (0, 0))) == 21
+    # With every line of a 7 x 7 grid forward, the composition is
+    # (i, j) -> (i + 1, j + 1): seven diagonal 7-cycles, not one 49-cycle.
+    rows = tuple(tuple((i, j) for j in range(7)) for i in range(7))
+    cols = tuple(tuple((i, j) for i in range(7)) for j in range(7))
+    diagonal = tuple((k, k) for k in range(7))
+    assert composition_orbit(rows, cols) == diagonal
+    assert compose(7, 7, 7, 7) == diagonal * 7
 
 
 def test_compose_is_a_bijection() -> None:
-    pair = compatible_orderings(simple_h3(9))
-    perm = compose(pair.omega_r, pair.omega_c)
-    assert len(set(perm.values())) == len(perm) == 27
-
-
-def test_is_single_cycle_small_cases() -> None:
-    assert is_single_cycle({1: 2, 2: 3, 3: 1})
-    assert not is_single_cycle({1: 1, 2: 2})
-    assert not is_single_cycle({})
+    # simple_h3(9): every row forward, columns 6..9 backward.
+    cycle = compose(3, 9, 3, 5)
+    assert sorted(cycle) == [(i, j) for i in range(3) for j in range(9)]
 
 
 def test_both_even_rejected() -> None:
@@ -100,8 +91,9 @@ def _zero_sum_grid(m: int, n: int) -> HeffterArray:
 
 @pytest.mark.parametrize("m", range(3, 16))
 def test_construction_composes_to_one_mn_cycle_whenever_a_side_is_odd(m: int) -> None:
-    # compatible_orderings does not check the orbit length; this is the proof's
-    # test.  The entries do not matter, so a zero-sum grid stands in for H.
+    # compatible_orderings walks mn steps without checking that the cells are
+    # distinct; this is the proof's test.  The entries do not matter, so a
+    # zero-sum grid stands in for H.
     for n in range(3, 16):
         grid = _zero_sum_grid(m, n)
         if m % 2 == 0 and n % 2 == 0:
@@ -109,10 +101,9 @@ def test_construction_composes_to_one_mn_cycle_whenever_a_side_is_odd(m: int) ->
                 compatible_orderings(grid)
             continue
         pair = compatible_orderings(grid)
-        assert (pair.omega_r.parts, pair.omega_c.parts) == ordering_parts(m, n), (m, n)
-        perm = compose(pair.omega_r, pair.omega_c)
-        assert len(perm) == m * n and is_single_cycle(perm), (m, n)
-        assert len(pair.composition_cycle) == m * n, (m, n)
+        assert (pair.row_parts, pair.col_parts) == ordering_parts(m, n), (m, n)
+        assert len(set(pair.composition_cycle)) == m * n, (m, n)
+        assert pair.composition_cycle == composition_orbit(*ordering_parts(m, n)), (m, n)
 
 
 def test_non_simple_input_detected() -> None:
@@ -121,26 +112,11 @@ def test_non_simple_input_detected() -> None:
         compatible_orderings(construct_raw_h3(8))
 
 
-def test_compose_rejects_mismatched_arrays() -> None:
-    pair5 = compatible_orderings(simple_h3(5))
-    pair7 = compatible_orderings(simple_h3(7))
-    with pytest.raises(OrderingMismatchError):
-        compose(pair5.omega_r, pair7.omega_c)
-
-
 def test_transposed_array_composes_too() -> None:
     # transpose(simple_h3(5)) is 5 x 3: n = 3 is odd, so the direct branch
     # applies and still composes into one 15-cycle.
     pair_t = compatible_orderings(transpose(simple_h3(5)))
-    assert len(pair_t.composition_cycle) == 15
-
-
-def test_manual_ordering_roundtrip() -> None:
-    H = from_rows(((1, 2, 3, -6), (8, -12, -7, 11), (-9, 10, 4, -5)))
-    rows = CyclicOrdering(H, tuple(tuple((i, j) for j in range(4)) for i in range(3)))
-    succ = rows.successor()
-    assert succ[(0, 3)] == (0, 0)
-    assert succ[(2, 1)] == (2, 2)
+    assert len(set(pair_t.composition_cycle)) == 15
 
 
 def _reorder_rows(H: HeffterArray, order: tuple[int, ...]) -> HeffterArray:
