@@ -10,6 +10,7 @@ lines: its report carries their partial sums beside the flags read off them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Iterator, Sequence
 
 from .errors import InvalidEntryError, InvalidPermutationError
@@ -71,8 +72,18 @@ class HeffterArray:
 
 
 def from_rows(rows: Sequence[Sequence[int]]) -> HeffterArray:
-    """Build a HeffterArray from any nested integer sequences."""
-    return HeffterArray(tuple(tuple(int(x) for x in row) for row in rows))
+    """Build a HeffterArray from any nested integer sequences.
+
+    Entries are converted with ``operator.index``, so a float or a string
+    cell raises InvalidEntryError instead of being truncated or parsed.
+    """
+    try:
+        cells = tuple(tuple(map(index, row)) for row in rows)
+    except TypeError:
+        i, j, x = next((i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row)
+                       if not hasattr(type(x), "__index__"))
+        raise InvalidEntryError(f"cell ({i + 1},{j + 1}) = {x!r} is not an integer") from None
+    return HeffterArray(cells)
 
 
 @dataclass(frozen=True)
@@ -127,23 +138,15 @@ def is_simple_array(H: HeffterArray) -> bool:
     return verify_heffter(H).is_simple
 
 
-def check_permutation(order: Sequence[int], n: int) -> tuple[int, ...]:
-    """Validate a 1-based column order; return it as a tuple."""
-    perm = tuple(order)
-    if sorted(perm) != list(range(1, n + 1)):
-        raise InvalidPermutationError(
-            f"{perm!r} is not a permutation of 1..{n}"
-        )
-    return perm
-
-
 def reorder_columns(H: HeffterArray, order: Sequence[int]) -> HeffterArray:
     """Apply the column reordering (a_1, ..., a_n).
 
     Column a_j of H becomes column j of the result, so each row is reordered
     by the same permutation while columns move as unbroken units.
     """
-    perm = check_permutation(order, H.n)
+    perm = tuple(order)
+    if sorted(perm) != list(range(1, H.n + 1)):
+        raise InvalidPermutationError(f"{perm!r} is not a permutation of 1..{H.n}")
     return HeffterArray(
         tuple(tuple(row[a - 1] for a in perm) for row in H.cells)
     )

@@ -66,14 +66,9 @@ def orbit(perm: Mapping[T, T], start: T) -> tuple[T, ...]:
     return tuple(out)
 
 
-def _base_walk(part: Sequence[int], v: int) -> Walk:
-    """(0, s_1, ..., s_{k-1}) for a zero-sum simply ordered part."""
-    sums = _partial_sums(part, v)
-    if sums[-1] != 0:
-        raise NotHeffterError(f"part {tuple(part)} does not sum to 0 mod {v}")
-    if len(set(sums)) != len(sums):
-        raise NotSimpleError(f"part {tuple(part)} has repeated partial sums mod {v}")
-    return (0, *sums[:-1])
+def _line_walk(sums: Sequence[int], backward: bool, v: int) -> Walk:
+    """Base walk of a zero-sum line; run backward, its partial sums are -s_{k-1}, ..., -s_1, 0."""
+    return (0, *(-s % v for s in sums[-2::-1])) if backward else (0, *sums[:-1])
 
 
 @dataclass(frozen=True)
@@ -121,7 +116,15 @@ def develop_cycles(parts: Sequence[Sequence[int]], v: int) -> CycleSystem:
         raise NotHeffterError(f"parts have mixed sizes {sorted(lengths)}")
     if not is_half_set(chain.from_iterable(parts), v):
         raise NotHeffterError(f"parts do not partition a half-set of Z_{v}")
-    return CycleSystem(v, tuple(_base_walk(p, v) for p in parts))
+    walks = []
+    for part in parts:
+        sums = _partial_sums(part, v)
+        if sums[-1] != 0:
+            raise NotHeffterError(f"part {tuple(part)} does not sum to 0 mod {v}")
+        if len(set(sums)) != len(sums):
+            raise NotSimpleError(f"part {tuple(part)} has repeated partial sums mod {v}")
+        walks.append(_line_walk(sums, False, v))
+    return CycleSystem(v, tuple(walks))
 
 
 def _step_counts(v: int, bases: Sequence[Walk]) -> list[int]:
@@ -177,11 +180,6 @@ class FaceSet:
     @property
     def face_count(self) -> int:
         return self.v * (len(self.rows.bases) + len(self.cols.bases))
-
-
-def _line_walk(sums: Sequence[int], backward: bool, v: int) -> Walk:
-    """Base walk of a zero-sum line; run backward, its partial sums are -s_{k-1}, ..., -s_1, 0."""
-    return (0, *(-s % v for s in sums[-2::-1])) if backward else (0, *sums[:-1])
 
 
 def build_face_set(H: HeffterArray) -> FaceSet:
@@ -303,7 +301,7 @@ def _certificate(F: FaceSet, bicolor: bool) -> EmbeddingCertificate:
     euler = v - edges + faces
     genus = (2 - euler) // 2
     matches: bool | None = None
-    if F.cols.bases and F.cols.k == 3:
+    if F.rows.bases and F.cols.bases and F.cols.k == 3:
         matches = genus == genus_closed_form(F.rows.k)
     return EmbeddingCertificate(
         num_row_faces=v * len(F.rows.bases),

@@ -11,7 +11,8 @@ All block entries and interval bounds are stored as coefficient pairs /
 triples so each printed number is auditable one-for-one.  The printed
 interval tables contain a handful of typos; they are kept verbatim and the
 corrections, established by direct partial-sum computation, live in
-:data:`TABLE_ERRATA` (see :func:`table_errata`).
+:data:`TABLE_ERRATA`; :func:`table_errata` gives the exact residues each
+printed table omits or adds.
 
 n = 3 and n = 4 are explicit simple arrays; n = 8 keeps its published
 explicit reordering because the general residue-0 tail differs from it.
@@ -632,27 +633,18 @@ def _instantiate(atoms: Iterable[Atom], m: int, v: int) -> frozenset[int]:
     return frozenset(out)
 
 
-def _table_support(n: int, row: int) -> tuple[_Case, int] | None:
-    """The (case, m) pair whose printed tables cover row 1..3 at n; None for the literal n = 8."""
+def _row_table(n: int, row: int, atoms: Callable[[_Case], Iterable[Atom]]) -> frozenset[int]:
+    """Row 1..3's partial-sum table at n from its class's atoms; n = 8 is the printed literal."""
     if row not in (1, 2, 3):
         raise OutOfRangeError(f"row must be 1..3, got {row}")
     if n == 8:
-        return None
+        return SUMS8[row - 1]
     if n < 3:
         raise OutOfRangeError(f"no 3 x n Heffter array for n={n} < 3")
     if n < 9:
         raise UnsupportedError(f"no partial-sum tables cover n={n}")
     case = _CASES[n % 8]
-    return case, (n - case.first_n) // 8
-
-
-def _row_table(n: int, row: int, atoms: Callable[[_Case], Iterable[Atom]]) -> frozenset[int]:
-    """Row 1..3's partial-sum table at n, built from the atoms of n's class."""
-    support = _table_support(n, row)
-    if support is None:
-        return SUMS8[row - 1]
-    case, m = support
-    return _instantiate(atoms(case), m, 6 * n + 1)
+    return _instantiate(atoms(case), (n - case.first_n) // 8, 6 * n + 1)
 
 
 def predicted_row_sums(n: int, row: int) -> frozenset[int]:
@@ -711,12 +703,9 @@ TABLE_ERRATA: dict[tuple[int, int], tuple[str, tuple[Atom, ...], tuple[Atom, ...
 }
 
 
-_NO_ERRATA: tuple[str, tuple[Atom, ...], tuple[Atom, ...]] = ("", (), ())
-
-
 def _corrected_atoms(case: _Case, residue: int, row: int) -> list[Atom]:
     """Printed atoms with the documented errata applied."""
-    _, missing_atoms, spurious_atoms = TABLE_ERRATA.get((residue, row), _NO_ERRATA)
+    _, missing_atoms, spurious_atoms = TABLE_ERRATA.get((residue, row), ("", (), ()))
     atoms = [a for g in case.sums[row - 1] for a in g if a not in spurious_atoms]
     atoms.extend(missing_atoms)
     return atoms
@@ -734,17 +723,11 @@ def corrected_row_sums(n: int, row: int) -> frozenset[int]:
 def table_errata(n: int, row: int) -> tuple[frozenset[int], frozenset[int]]:
     """Instantiated deviations of the printed table at (n, row).
 
-    Returns (missing, spurious): residues the printed table omits and
-    residues it lists wrongly.  Because printed atoms may overlap, a
-    nominally spurious residue can still belong to the true sum set via
-    another atom; the authoritative corrected set is
-    :func:`corrected_row_sums`.  Both sets are empty when the printed table
-    is exact.
+    Returns (missing, spurious): the residues of the true partial-sum set
+    (:func:`corrected_row_sums`) that the printed table
+    (:func:`predicted_row_sums`) omits, and those it lists but the true set
+    does not hold.  Both sets are empty when the printed table is exact.
     """
-    support = _table_support(n, row)
-    if support is None:  # the printed n = 8 sums have no errata
-        return frozenset(), frozenset()
-    _, m = support
-    _, missing_atoms, spurious_atoms = TABLE_ERRATA.get((n % 8, row), _NO_ERRATA)
-    v = 6 * n + 1
-    return _instantiate(missing_atoms, m, v), _instantiate(spurious_atoms, m, v)
+    corrected = corrected_row_sums(n, row)
+    predicted = predicted_row_sums(n, row)
+    return corrected - predicted, predicted - corrected

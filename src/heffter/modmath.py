@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import Iterable, Sequence
 
-from .errors import ModulusMismatchError, ZeroResidueError
+from .errors import ModulusMismatchError, OutOfRangeError, ZeroResidueError
 
 
 def check_modulus(v: int) -> None:
@@ -81,7 +81,7 @@ def partial_sums(seq: Sequence[int], v: int) -> list[int]:
     Heffter system.
     """
     if not seq:
-        raise ValueError("partial sums of an empty sequence are undefined")
+        raise OutOfRangeError("partial sums of an empty sequence are undefined")
     _require_canonical(seq, v)
     return _partial_sums(seq, v)
 

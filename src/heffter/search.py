@@ -2,7 +2,9 @@
 
 A single column permutation reorders every row simultaneously while moving
 columns as units, so the columns of a column-simple array stay simple and
-only row simplicity has to be searched.  Partial sums of a fixed prefix of
+only row simplicity has to be searched.  The search first checks that its
+input is a Heffter array at all, since no column order can repair a line
+sum or a repeated absolute value.  Partial sums of a fixed prefix of
 columns never change when the prefix is extended, so a prefix with a
 repeated sum in any row can be pruned exactly: no completion can repair it.
 The pruned depth-first search therefore finds the lexicographically least
@@ -29,7 +31,7 @@ from itertools import permutations
 from typing import Iterator, Sequence
 
 from .core import MIN_DIMENSION, HeffterArray, from_rows, reorder_columns, verify_heffter
-from .errors import BudgetExceededError, OutOfRangeError, TooLargeError
+from .errors import BudgetExceededError, NotHeffterError, OutOfRangeError, TooLargeError
 from .modmath import half_bound
 
 ORACLE_MAX_COLUMNS = 9  # n! complete checks beyond this are not desk-scale
@@ -142,6 +144,8 @@ def find_simple_column_permutation(
 ) -> SearchOutcome:
     """Find a column permutation making every row of H simple.
 
+    Raises NotHeffterError when H is not a Heffter array, naming the first
+    row, else the first column, that does not sum to 0, else the half-set.
     Deterministic for a fixed configuration: both strategies explore columns
     in ascending order and return the lexicographically least valid
     permutation.  The returned permutation is re-verified through
@@ -149,6 +153,14 @@ def find_simple_column_permutation(
     is None when the full space was exhausted without a solution.  Raises
     BudgetExceededError when the node budget runs out first.
     """
+    report = verify_heffter(H)
+    v = H.modulus
+    for what, sum_ok in (("row", report.row_sum_ok), ("column", report.col_sum_ok)):
+        for k, ok in enumerate(sum_ok, 1):
+            if not ok:
+                raise NotHeffterError(f"{what} {k} does not sum to 0 mod {v}")
+    if not report.half_set_ok:
+        raise NotHeffterError(f"entries do not form a half-set of Z_{v}")
     if cfg.strategy == "exhaustive":
         perm, nodes = _search_exhaustive(H, cfg.node_budget)
     else:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -157,11 +158,33 @@ def test_cli_genus_rejects_n_below_3(n: int) -> None:
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_cli_genus_with_more_digits_than_str_allows_is_usage_error() -> None:
+    digits = "9" * 2200  # parses, but the genus has about 4,400 digits
+    n = int(digits)
+    limited = hasattr(sys, "set_int_max_str_digits")  # False on interpreters without the limit
+    old = sys.get_int_max_str_digits() if limited else 0
+    try:
+        if limited:
+            sys.set_int_max_str_digits(4300)
+            assert _run(["genus", "--n", digits]) == (
+                2, "", "error: the genus has too many digits to print as a decimal\n"
+            )
+            sys.set_int_max_str_digits(0)
+        code, out, err = _run(["genus", "--n", digits])
+        assert (code, err) == (0, "") and int(out) == 1 + (6 * n + 1) * (n - 2)
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(old)
+
+
 def test_cli_zero_budget_is_usage_error(tmp_path: Path) -> None:
     path = tmp_path / "raw6.txt"
     path.write_text(serialize_array(construct_raw_h3(6)), encoding="ascii")
+    bad_lines = tmp_path / "ns.txt"
+    bad_lines.write_text(NON_ZERO_SUM, encoding="ascii")
     for argv in (
         ["search", "--file", str(path), "--budget", "0"],
+        ["search", "--file", str(bad_lines), "--budget", "0"],  # the budget is read first
         ["generate", "--m", "3", "--n", "3", "--budget", "0"],
     ):
         code, out, err = _run(argv)

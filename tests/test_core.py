@@ -44,10 +44,20 @@ def test_construction_rejects_bad_entries() -> None:
         from_rows([[1, 2, 99], [3, 4, 5], [6, 7, 8]])  # out of range mod 19
     with pytest.raises(InvalidEntryError, match=r"^cell \(3,2\) = -10 is not"):
         from_rows([[1, 2, 3], [4, 5, 6], [7, -10, 8]])  # just below -(v-1)/2
-    with pytest.raises(InvalidEntryError):
+    with pytest.raises(InvalidEntryError, match="^need at least 3 rows$"):
         from_rows([[1, 2], [3, 4]])  # below minimum dimensions
+    with pytest.raises(InvalidEntryError, match="^need at least 3 columns$"):
+        from_rows([[1, 2], [3, 4], [5, 6]])
     with pytest.raises(InvalidEntryError):
         from_rows([[1, 2, 3], [4, 5], [6, 7, 8]])  # ragged
+
+
+@pytest.mark.parametrize("bad, shown", ((1.7, "1.7"), ("a", "'a'"), ("3", "'3'")))
+def test_construction_rejects_non_integer_entries(bad: object, shown: str) -> None:
+    # Not truncated, not parsed: the cell is named and rejected.
+    rows = [[1, 2, 3], [4, 5, 6], [7, bad, 9]]
+    with pytest.raises(InvalidEntryError, match=rf"^cell \(3,2\) = {shown} is not an integer$"):
+        from_rows(rows)
 
 
 def test_verify_published_arrays() -> None:

@@ -256,6 +256,15 @@ def test_certify_rejects_incomplete_face_set() -> None:
         certify(damaged)
 
 
+def test_certify_accepts_a_face_set_with_an_empty_colour() -> None:
+    # K_7 on the torus: the 14 translates of two base triangles, all of one colour.
+    face_set = FaceSet(CycleSystem(7, ()), CycleSystem(7, ((0, 1, 3), (0, 3, 2))))
+    cert = certify(face_set)
+    assert (cert.faces, cert.num_row_faces, cert.genus) == (14, 0, 1)
+    assert (cert.edge_bicolor_ok, cert.genus_matches_formula) == (False, None)
+    assert cert == certify_exhaustive(face_set)
+
+
 def test_certify_rejects_simple_zero_sum_array_that_is_not_a_half_set() -> None:
     # Rows and columns sum to 0 and are simple, but 2 and 3 are used twice:
     # the faces exist, and only certify's arc-exactness pass rejects them.

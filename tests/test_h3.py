@@ -123,7 +123,7 @@ def test_every_table_function_rejects_a_row_outside_1_to_3(n: int, row: int) -> 
 
 
 def test_tables_match_direct_sums_up_to_errata() -> None:
-    for n in range(9, 90):
+    for n in range(8, 121):
         try:
             predicted = [predicted_row_sums(n, i) for i in (1, 2, 3)]
         except UnsupportedError:
@@ -133,12 +133,18 @@ def test_tables_match_direct_sums_up_to_errata() -> None:
         for i in (1, 2, 3):
             actual = frozenset(partial_sums(H.row(i - 1), v))
             assert corrected_row_sums(n, i) == actual, (n, i)
-            missing, spurious = table_errata(n, i)
-            # Every discrepancy of the printed table is documented.
-            assert (actual - predicted[i - 1]) <= missing, (n, i)
-            assert (predicted[i - 1] - actual) <= spurious, (n, i)
+            # The errata are exactly the deviations of the printed table.
+            deviations = (actual - predicted[i - 1], predicted[i - 1] - actual)
+            assert table_errata(n, i) == deviations, (n, i)
             if not TABLE_ERRATA.get((n % 8, i)):
                 assert predicted[i - 1] == actual, (n, i)
+
+
+def test_table_errata_lists_no_residue_that_the_tables_agree_on() -> None:
+    # (9, 2): the misprinted intervals of P_{2,1} cover the same residues at m = 0.
+    assert predicted_row_sums(9, 2) == corrected_row_sums(9, 2)
+    assert table_errata(9, 2) == (frozenset(), frozenset())
+    assert table_errata(8, 1) == (frozenset(), frozenset())  # the printed literal n = 8
 
 
 def test_errata_registry_is_minimal() -> None:

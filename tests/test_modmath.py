@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from heffter.errors import ModulusMismatchError, ZeroResidueError
+from heffter.errors import ModulusMismatchError, OutOfRangeError, ZeroResidueError
 from heffter.modmath import canon, is_half_set, is_simple, partial_sums
 
 # Rows of the published H(3,5) over Z_31 and the reordered H(3,8) over Z_49.
@@ -57,8 +57,10 @@ def test_partial_sums_small_cases() -> None:
 
 
 def test_partial_sums_requires_nonempty_canonical_input() -> None:
-    with pytest.raises(ValueError):
+    with pytest.raises(OutOfRangeError, match="^partial sums of an empty sequence are undefined$"):
         partial_sums((), 31)
+    with pytest.raises(OutOfRangeError):
+        is_simple([], 7)
     for bad in ((1, 40), (1, 0), (-16, 1)):
         with pytest.raises(ModulusMismatchError):
             partial_sums(bad, 31)

@@ -6,7 +6,7 @@ import pytest
 
 from heffter.arrayfile import serialize_array
 from heffter.core import from_rows, is_simple_array, reorder_columns, verify_heffter
-from heffter.errors import BudgetExceededError, OutOfRangeError, TooLargeError
+from heffter.errors import BudgetExceededError, NotHeffterError, OutOfRangeError, TooLargeError
 from heffter.h3 import construct_raw_h3, simple_h3
 from heffter.search import (
     SearchConfig,
@@ -71,8 +71,10 @@ def test_oracle_rejects_large_n() -> None:
 
 def test_budget_exhaustion_is_distinguished() -> None:
     H = construct_raw_h3(8)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError, match="^permutation search exceeded 3 nodes$"):
         find_simple_column_permutation(H, SearchConfig(node_budget=3))
+    with pytest.raises(BudgetExceededError, match="^exhaustive search exceeded 3 permutations$"):
+        find_simple_column_permutation(H, SearchConfig(strategy="exhaustive", node_budget=3))
 
 
 def test_search_agrees_with_oracle_on_generated_instances() -> None:
@@ -89,17 +91,54 @@ def test_search_agrees_with_oracle_on_generated_instances() -> None:
             assert outcome.permutation is None
 
 
+# A 6 x 6 Heffter array over Z_73 whose row r holds a zero-sum triple on
+# the columns of UNFIXABLE_TRIPLES[r], and so another on the other three.
+UNFIXABLE = (
+    (31, 13, 29, -35, -36, -2),
+    (28, -22, -34, -6, 14, 20),
+    (8, 24, -16, -1, -32, 17),
+    (15, 26, -3, -12, -33, 7),
+    (-30, -18, 5, -9, 25, 27),
+    (21, -23, 19, -10, -11, 4),
+)
+UNFIXABLE_TRIPLES = ((1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5), (1, 4, 5))
+
+
 def test_none_exists_verdict_on_unfixable_grid() -> None:
-    # Hand-crafted 3 x 3 grid (not a Heffter array: the search mechanism is
-    # exercised past its usual precondition): a length-3 row collides under
-    # the order (x, y, z) iff y + z = 0, and here every choice of first
-    # column zeroes a pair in some row, so no permutation works.
-    grid = from_rows(((1, -1, 5), (2, 6, -2), (7, 3, -3)))
+    # Six entries of distinct absolute value that sum to 0 repeat a partial
+    # sum iff three consecutive ones sum to 0, and every column order puts
+    # one of the six row splits on three consecutive columns.
+    grid = from_rows(UNFIXABLE)
+    assert verify_heffter(grid).is_heffter
+    for row, triple in zip(grid.cells, UNFIXABLE_TRIPLES):
+        assert sum(row[j - 1] for j in triple) % grid.modulus == 0
     assert brute_force_oracle(grid) == []
     outcome = find_simple_column_permutation(grid)
     assert outcome.permutation is None
     exhaustive = find_simple_column_permutation(grid, SearchConfig(strategy="exhaustive"))
-    assert exhaustive.permutation is None
+    assert (exhaustive.permutation, exhaustive.nodes) == (None, 720)
+
+
+NOT_HEFFTER = (
+    # no line sums to 0 mod 19
+    (((1, 2, 3), (4, 5, 6), (7, 8, 9)), "row 1 does not sum to 0 mod 19"),
+    # H(3,5) with two entries of row 1 swapped: every row sum kept, two columns broken
+    (
+        ((7, 6, -10, -4, 1), (-9, 5, 2, -11, 13), (3, -12, 8, 15, -14)),
+        "column 1 does not sum to 0 mod 31",
+    ),
+    # every line sums to 0 mod 19, but the absolute values repeat
+    (((1, 1, -2), (1, 1, -2), (-2, -2, 4)), "entries do not form a half-set of Z_19"),
+)
+
+
+@pytest.mark.parametrize("strategy", ("backtracking", "exhaustive"))
+@pytest.mark.parametrize("rows, message", NOT_HEFFTER)
+def test_search_rejects_input_that_is_not_a_heffter_array(
+    strategy: str, rows: tuple, message: str
+) -> None:
+    with pytest.raises(NotHeffterError, match=rf"^{message}$"):
+        find_simple_column_permutation(from_rows(rows), SearchConfig(strategy=strategy))
 
 
 def test_search_determinism() -> None:
