@@ -23,9 +23,9 @@ MIN_DIMENSION = 3  # everything in scope has at least 3 rows and 3 columns
 class HeffterArray:
     """Immutable m x n grid of canonical residues mod v = 2mn + 1.
 
-    Construction validates shape and entry ranges only; the Heffter axioms
-    (zero sums, half-set) are checked by :func:`verify_heffter` so that
-    broken candidate arrays remain representable.
+    Construction validates shape, entry types and entry ranges only; the
+    Heffter axioms (zero sums, half-set) are checked by :func:`verify_heffter`
+    so that broken candidate arrays remain representable.
     """
 
     cells: tuple[tuple[int, ...], ...]
@@ -42,11 +42,9 @@ class HeffterArray:
         bound = half_bound(v)
         for i, row in enumerate(self.cells):
             for j, x in enumerate(row):
-                if x == 0 or not -bound <= x <= bound:
-                    raise InvalidEntryError(
-                        f"cell ({i + 1},{j + 1}) = {x} is not a canonical "
-                        f"nonzero residue mod {v}"
-                    )
+                if type(x) is not int or x == 0 or not -bound <= x <= bound:
+                    what = f"a canonical nonzero residue mod {v}" if type(x) is int else "an integer"
+                    raise InvalidEntryError(f"cell ({i + 1},{j + 1}) = {x!r} is not {what}")
 
     @property
     def m(self) -> int:
@@ -75,14 +73,18 @@ def from_rows(rows: Sequence[Sequence[int]]) -> HeffterArray:
     """Build a HeffterArray from any nested integer sequences.
 
     Entries are converted with ``operator.index``, so a float or a string
-    cell raises InvalidEntryError instead of being truncated or parsed.
+    cell raises InvalidEntryError instead of being truncated or parsed, and
+    so do rows, or a row, that cannot be iterated.
     """
     try:
-        cells = tuple(tuple(map(index, row)) for row in rows)
+        grid = tuple(map(tuple, rows))
     except TypeError:
-        i, j, x = next((i, j, x) for i, row in enumerate(rows) for j, x in enumerate(row)
-                       if not hasattr(type(x), "__index__"))
-        raise InvalidEntryError(f"cell ({i + 1},{j + 1}) = {x!r} is not an integer") from None
+        raise InvalidEntryError("rows must be sequences of integers") from None
+    try:
+        cells = tuple(tuple(map(index, row)) for row in grid)
+    except TypeError:  # convert what converts; HeffterArray names the first other cell
+        cells = tuple(tuple(index(x) if hasattr(type(x), "__index__") else x for x in row)
+                      for row in grid)
     return HeffterArray(cells)
 
 

@@ -16,7 +16,7 @@ subgrid; the last cell of every row and column is forced by a zero-sum
 constraint the moment its line fills, following a schedule that spreads
 those forced closures as evenly as possible through the search.  Each
 attempt is one loop over the schedule with an explicit stack of the values
-each step has left to try, so its depth is bounded by memory, not by the
+each cell has left to try, so its depth is bounded by memory, not by the
 interpreter's recursion limit.  Since an H(m,n) exists for every
 m, n >= 3 and an attempt can reach each one, the generator's only failure
 is a spent node budget, and what it returns is a Heffter array (proofs at
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, count, permutations
 from typing import Iterator, Sequence
 
 from .core import MIN_DIMENSION, HeffterArray, from_rows, reorder_columns, verify_heffter
@@ -193,40 +193,28 @@ def brute_force_oracle(H: HeffterArray) -> list[tuple[int, ...]]:
     ]
 
 
-def _fill_schedule(m: int, n: int) -> list[tuple[str, int, int]]:
-    """Cell schedule for the generator: early, evenly spread line closures.
+def _fill_schedule(m: int, n: int) -> list[tuple[int, int]]:
+    """Cell order for the generator: every cell once, with early, evenly spread line closures.
 
-    Free cells live in the (m-1) x (n-1) top-left subgrid; the last cell of
-    every row and column is forced by a zero-sum axiom.  Unevenly many rows
-    and columns would otherwise pile several forced cells at the end of the
-    search, where they act as a nearly unsatisfiable wall, so the surplus
-    lines of the longer dimension are filled and closed one by one first and
-    the remaining square subgrid is walked in L-shaped bands (a row strip,
-    close that row, a column strip, close that column).  Every forced value
-    is then reserved as high up the search tree as possible, and the only
-    consecutive closures left are the final row, column, and corner.
+    Free cells live in the (m-1) x (n-1) top-left subgrid; the cells of the
+    last row and column are forced by a zero-sum axiom, each listed after
+    every other cell of the line it closes.  Unevenly many rows and columns
+    would otherwise pile several forced cells at the end of the search, where
+    they act as a nearly unsatisfiable wall, so the surplus lines of the
+    longer dimension are walked first, each to its border cell, and the
+    remaining square block in L-shaped bands (a row strip to column n-1, then
+    a column strip to row m-1).  Every forced value is then reserved as high
+    up the search tree as possible, and the only consecutive closures left
+    are the final row, column, and corner.
     """
-    R, C = m - 1, n - 1
-    schedule: list[tuple[str, int, int]] = []
-    extra_cols = max(0, C - R)
-    extra_rows = max(0, R - C)
-    for j in range(extra_cols):
-        schedule.extend(("free", i, j) for i in range(R))
-        schedule.append(("close-col", m - 1, j))
-    for i in range(extra_rows):
-        schedule.extend(("free", i, j) for j in range(C))
-        schedule.append(("close-row", i, n - 1))
-    # L-shaped bands over the remaining square block.
-    size = min(R, C)
-    for b in range(size):
-        i0 = extra_rows + b
-        j0 = extra_cols + b
-        schedule.extend(("free", i0, j) for j in range(j0, C))
-        schedule.append(("close-row", i0, n - 1))
-        schedule.extend(("free", i, j0) for i in range(i0 + 1, R))
-        schedule.append(("close-col", m - 1, j0))
-    schedule.append(("close-row", m - 1, n - 1))  # corner; column n-1 then sums to 0
-    return schedule
+    x, y = max(0, n - m), max(0, m - n)  # surplus columns, surplus rows
+    cells = [(i, j) for j in range(x) for i in range(m)]
+    cells += [(i, j) for i in range(y) for j in range(n)]
+    for b in range(min(m, n) - 1):
+        cells += [(y + b, j) for j in range(x + b, n)]
+        cells += [(i, x + b) for i in range(y + b + 1, m)]
+    cells.append((m - 1, n - 1))
+    return cells
 
 
 def _generate_attempt(
@@ -234,16 +222,21 @@ def _generate_attempt(
 ) -> list[list[int]] | None:
     """One bounded depth-first pass over the fill schedule, as a single loop.
 
-    ``tries[k]`` iterates the values step k has still to try: every value at
+    A cell is free iff it lies off the last row and column.  A last-row cell
+    closes its column and any other last-column cell closes its row; so the
+    corner closes column n-1, which gives the residue closing row m-1 too:
+    with every other line at 0, both sum to the total of the placed cells.
+    ``tries[k]`` iterates the values cell k has still to try: every value at
     a free cell, at most the one value closing the line at a forced cell.
-    Nodes are counted at free cells only.  A step with nothing left to try
-    hands control back to the step before it, which takes its own value back
+    Nodes are counted at free cells only.  A cell with nothing left to try
+    hands control back to the cell before it, which takes its own value back
     off ``grid`` and tries its next one.  Returns the solved grid, or None
     when ``budget`` nodes are spent or the space is searched to its end.
     """
     v = 2 * m * n + 1
     bound = half_bound(v)  # == m*n
-    schedule = _fill_schedule(m, n)
+    cells = _fill_schedule(m, n)
+    free = [i < m - 1 and j < n - 1 for i, j in cells]
     grid = [[0] * n for _ in range(m)]
     used = [False] * (bound + 1)
     row_sums = [0] * m
@@ -251,13 +244,13 @@ def _generate_attempt(
     tries: list[Iterator[int]] = []
     nodes = 0
     step = 0
-    while step < len(schedule):
-        kind, i, j = schedule[step]
+    while step < len(cells):
+        i, j = cells[step]
         if step == len(tries):
-            if kind == "free":
+            if free[step]:
                 tries.append(iter(values))
             else:
-                r = -(row_sums[i] if kind == "close-row" else col_sums[j]) % v
+                r = -(col_sums[j] if i == m - 1 else row_sums[i]) % v
                 tries.append(iter((r if r <= bound else r - v,) if r else ()))
         else:  # back from step + 1: undo this cell
             x = grid[i][j]
@@ -274,7 +267,7 @@ def _generate_attempt(
                 return None
             step -= 1
             continue
-        if kind == "free":
+        if free[step]:
             nodes += 1
             if nodes > budget:
                 return None
@@ -295,12 +288,15 @@ def generate_heffter(
     (m-1) x (n-1) subgrid following :func:`_fill_schedule`; every other cell
     is forced by a row or column zero sum the moment its line completes.
 
-    With ``cfg.seed`` set, a single pass is run with that seed's shuffled
-    value order and the full node budget.  Otherwise a fixed restart ladder
-    is used: the plain ascending order first, then value orders shuffled
-    with seeds 0, 1, 2, ..., each capped at a slice of the budget.  Both
+    Every attempt is a ``(seed, budget)`` rung of one list, run in order:
+    a seed shuffles the ascending value order, and None keeps it.  With
+    ``cfg.seed`` set the list is that seed with the full node budget.
+    Otherwise it is None, then seeds 0, 1, 2, ..., each with a slice of
+    max(20,000, budget // 25) nodes, the last one with what is left.  Both
     modes are fully deterministic for a fixed configuration.  Raises
-    BudgetExceededError when every attempt has spent its budget.
+    BudgetExceededError when every rung has spent its budget, and before it
+    allocates anything when no rung can fill the (m-1)(n-1) free cells,
+    since each placement there is one node.
 
     No other outcome is possible, because an H(m,n) exists for every
     m, n >= 3 (Archdeacon, Boothby & Dinitz, J. Combin. Des. 25 (2017)) and
@@ -309,40 +305,26 @@ def generate_heffter(
     can only hold the one canonical residue that closes its line.  A returned
     grid needs no verifying: each free cell takes an unused |x| in 1..mn and
     each forced cell the unused nonzero residue closing its line, so the mn
-    cells are a half-set; rows 0..m-1 and columns 0..n-2 are closed
-    explicitly, and column n-1 sums to 0 since row and column sums share a total.
+    cells are a half-set; rows 0..m-2 and columns 0..n-1 are closed
+    explicitly, and row m-1 sums to 0 since row and column sums share a total.
     """
     if m < MIN_DIMENSION or n < MIN_DIMENSION:
         raise OutOfRangeError(f"Heffter arrays need m, n >= {MIN_DIMENSION}, got {m} x {n}")
-    v = 2 * m * n + 1
-    ascending = [s * a for a in range(1, half_bound(v) + 1) for s in (1, -1)]
-
-    def restart_ladder() -> Iterator[tuple[list[int], int]]:
-        per_restart = max(20_000, cfg.node_budget // 25)
-        remaining = cfg.node_budget
-        restart = -1  # first attempt: plain ascending order
-        while remaining > 0:
-            values = list(ascending)
-            if restart >= 0:
-                random.Random(restart).shuffle(values)
-            slice_budget = min(per_restart, remaining)
-            yield values, slice_budget
-            remaining -= slice_budget
-            restart += 1
-
-    if cfg.seed is not None:
-        seeded = list(ascending)
-        random.Random(cfg.seed).shuffle(seeded)
-        attempts: Iterator[tuple[list[int], int]] = iter([(seeded, cfg.node_budget)])
-    else:
-        attempts = restart_ladder()
-
-    for values, budget in attempts:
-        grid = _generate_attempt(m, n, values, budget)
+    budget = cfg.node_budget
+    per = max(20_000, budget // 25)
+    rungs = [(cfg.seed, budget)] if cfg.seed is not None else [
+        (seed, min(per, budget - start))
+        for seed, start in zip(chain([None], count()), range(0, budget, per))
+    ]
+    exceeded = f"generator exceeded {budget} nodes for {m} x {n}"
+    if max(b for _, b in rungs) < (m - 1) * (n - 1):
+        raise BudgetExceededError(exceeded)
+    ascending = [s * a for a in range(1, m * n + 1) for s in (1, -1)]
+    for seed, b in rungs:
+        values = list(ascending)
+        if seed is not None:
+            random.Random(seed).shuffle(values)
+        grid = _generate_attempt(m, n, values, b)
         if grid is not None:
-            break
-    else:
-        raise BudgetExceededError(
-            f"generator exceeded {cfg.node_budget} nodes for {m} x {n}"
-        )
-    return from_rows(grid)
+            return from_rows(grid)
+    raise BudgetExceededError(exceeded)

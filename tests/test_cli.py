@@ -377,6 +377,14 @@ def test_cli_generate_past_the_recursion_limit_stops_at_budget() -> None:
     assert err == "error: generator exceeded 10000 nodes for 40 x 40\n"
 
 
+def test_cli_generate_refuses_a_budget_below_the_free_cells() -> None:
+    # 639,201 free cells cannot be filled in 10 nodes: refused before any
+    # 800 x 800 grid or value list is built.
+    code, out, err = _run(["generate", "--m", "800", "--n", "800", "--budget", "10"])
+    assert (code, out) == (1, "")
+    assert err == "error: generator exceeded 10 nodes for 800 x 800\n"
+
+
 @st.composite
 def _signed_arrays(draw: st.DrawFn) -> tuple[str, str]:
     """A parsable m x n array (m, n <= 5) and a column permutation for it."""

@@ -60,6 +60,25 @@ def test_construction_rejects_non_integer_entries(bad: object, shown: str) -> No
         from_rows(rows)
 
 
+def test_constructor_rejects_non_integer_cells() -> None:
+    with pytest.raises(InvalidEntryError, match=r"^cell \(1,1\) = 1\.5 is not an integer$"):
+        HeffterArray(((1.5, 2, 3), (4, 5, 6), (7, 8, 9)))
+    with pytest.raises(InvalidEntryError, match=r"^cell \(2,3\) = True is not an integer$"):
+        HeffterArray(((1, 2, 3), (4, 5, True), (7, 8, 9)))
+
+
+def test_from_rows_converts_integer_like_cells_before_naming_the_bad_one() -> None:
+    assert type(from_rows([[True, 2, 3], [4, 5, 6], [7, 8, 9]]).cells[0][0]) is int
+    with pytest.raises(InvalidEntryError, match=r"^cell \(1,2\) = 2\.5 is not an integer$"):
+        from_rows(row for row in [[True, 2.5, 3]] * 3)
+
+
+@pytest.mark.parametrize("rows", ([1, 2, 3], None, [[1, 2, 3], 5, [7, 8, 9]]))
+def test_from_rows_rejects_rows_that_are_not_sequences(rows: object) -> None:
+    with pytest.raises(InvalidEntryError, match="^rows must be sequences of integers$"):
+        from_rows(rows)
+
+
 def test_verify_published_arrays() -> None:
     for rows in (H35, H33, H34, H38, H38_REORDERED):
         report = verify_heffter(from_rows(rows))

@@ -8,6 +8,7 @@ from heffter.h3 import (
     H33,
     H34,
     TABLE_ERRATA,
+    _CASES,
     construct_raw_h3,
     corrected_row_sums,
     predicted_row_sums,
@@ -55,6 +56,30 @@ def test_standard_reorderings() -> None:
 @pytest.mark.parametrize("n", range(3, 60))
 def test_standard_reordering_is_permutation(n: int) -> None:
     assert sorted(standard_reordering(n)) == list(range(1, n + 1))
+
+
+def test_standard_reordering_is_a_permutation_for_every_n() -> None:
+    # Induction on n within each residue class mod 8.  Every group is a head,
+    # a step-4 progression and a tail; the heads and tails are constants, and
+    # one end of each progression is a constant k, the other n + d.  The four
+    # d of a class are 0, -1, -2, -3 and k = n + d mod 4, so once every
+    # progression is non-empty, n -> n + 8 appends n + d + 4 and n + d + 8 to
+    # each: exactly n + 1 .. n + 8, once each.  The base cases are checked
+    # directly, up to the first n of each class with no empty progression.
+    last_base = 0
+    for c, case in _CASES.items():
+        ends = []
+        for _head, start, end, step, _tail in case.groups:
+            (k_coef, k), (d_coef, d) = (start, end) if step > 0 else (end, start)
+            assert (k_coef, d_coef, abs(step)) == (0, 1, 4)
+            assert (k - c - d) % 4 == 0
+            ends.append((k, d))
+        assert sorted(d for _k, d in ends) == [-3, -2, -1, 0]
+        n = next(n for n in range(c or 8, 10**6, 8)
+                 if n not in (3, 4, 8) and all(n + d >= k for k, d in ends))
+        last_base = max(last_base, n)
+    for n in range(3, last_base + 1):
+        assert sorted(standard_reordering(n)) == list(range(1, n + 1))
 
 
 def test_simple_h3_published_goldens() -> None:

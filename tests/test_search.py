@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import pytest
 
@@ -10,6 +11,7 @@ from heffter.errors import BudgetExceededError, NotHeffterError, OutOfRangeError
 from heffter.h3 import construct_raw_h3, simple_h3
 from heffter.search import (
     SearchConfig,
+    _fill_schedule,
     brute_force_oracle,
     find_simple_column_permutation,
     generate_heffter,
@@ -180,6 +182,44 @@ def test_generate_budget_error() -> None:
     # 1,600 cells: one schedule step per cell is deeper than the recursion limit.
     with pytest.raises(BudgetExceededError):
         generate_heffter(40, 40, SearchConfig(node_budget=10_000))
+
+
+@pytest.mark.parametrize("seed", (None, 3))
+def test_generate_refuses_an_unreachable_budget_before_allocating(seed: int | None) -> None:
+    # Success places all (m-1)(n-1) = 159,201 free cells, one node each, so a
+    # budget of 10 cannot succeed and nothing of size mn may be built first.
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="^generator exceeded 10 nodes for 400 x 400$"):
+            generate_heffter(400, 400, SearchConfig(node_budget=10, seed=seed))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_generate_budget_of_exactly_the_free_cells_can_succeed() -> None:
+    # Seed 31 fills the 2 x 2 free cells of a 3 x 3 array without backtracking.
+    H = generate_heffter(3, 3, SearchConfig(node_budget=4, seed=31))
+    assert verify_heffter(H).is_heffter
+    with pytest.raises(BudgetExceededError, match="^generator exceeded 3 nodes for 3 x 3$"):
+        generate_heffter(3, 3, SearchConfig(node_budget=3, seed=31))
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+@pytest.mark.parametrize("n", range(3, 13))
+def test_fill_schedule_closes_each_line_with_its_border_cell(m: int, n: int) -> None:
+    cells = _fill_schedule(m, n)
+    assert sorted(cells) == [(i, j) for i in range(m) for j in range(n)]
+    position = {cell: k for k, cell in enumerate(cells)}
+    row_last = [max(range(n), key=lambda j: position[i, j]) for i in range(m)]
+    col_last = [max(range(m), key=lambda i: position[i, j]) for j in range(n)]
+    # A last-row cell comes after the rest of its column, any other
+    # last-column cell after the rest of its row, and the corner last of all;
+    # no free cell is the last of its row or column.
+    assert col_last == [m - 1] * n
+    assert row_last == [n - 1] * m
+    assert cells[-1] == (m - 1, n - 1)
 
 
 def test_generated_h5n_admit_simple_reorderings() -> None:
