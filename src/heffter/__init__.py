@@ -7,7 +7,6 @@ from .core import (
     HeffterArray,
     VerificationReport,
     from_rows,
-    is_simple_array,
     reorder_columns,
     transpose,
     verify_heffter,
@@ -16,7 +15,6 @@ from .embedding import (
     CycleSystem,
     EmbeddingCertificate,
     FaceSet,
-    RotationSystem,
     build_face_set,
     certify,
     derive_rotations,
@@ -36,7 +34,6 @@ from .h3 import (
 from .modmath import canon, is_half_set, is_simple, partial_sums
 from .orderings import CompatibleOrderingPair, compatible_orderings
 from .search import (
-    SearchConfig,
     SearchOutcome,
     brute_force_oracle,
     find_simple_column_permutation,
@@ -49,8 +46,6 @@ __all__ = [
     "EmbeddingCertificate",
     "FaceSet",
     "HeffterArray",
-    "RotationSystem",
-    "SearchConfig",
     "SearchOutcome",
     "VerificationReport",
     "brute_force_oracle",
@@ -69,7 +64,6 @@ __all__ = [
     "genus_closed_form",
     "is_half_set",
     "is_simple",
-    "is_simple_array",
     "is_translation_closed",
     "parse_array",
     "partial_sums",

@@ -31,12 +31,15 @@ from .errors import (
 from .h3 import simple_h3
 from .orderings import compatible_orderings
 from .search import (
-    SearchConfig,
+    NODE_BUDGET,
+    STRATEGIES,
     brute_force_oracle,
     check_oracle_size,
     find_simple_column_permutation,
     generate_heffter,
 )
+
+EXPAND_LIMIT = 2_000_000  # most integers --expand may list: embed lists 2mnv, develop mnv
 
 
 def _print_json(doc: dict) -> None:
@@ -60,6 +63,12 @@ def _load_array(path: str) -> HeffterArray:
             column=exc.start - line_start + 1,
         ) from None
     return parse_array(text)
+
+
+def _check_expand(count: int) -> None:
+    """Refuse an --expand listing of ``count`` integers above EXPAND_LIMIT."""
+    if count > EXPAND_LIMIT:
+        raise TooLargeError(f"--expand would list {count} integers, more than {EXPAND_LIMIT}")
 
 
 def _cmd_gen3(args: argparse.Namespace) -> int:
@@ -105,6 +114,8 @@ def _cmd_orderings(args: argparse.Namespace) -> int:
 def _cmd_develop(args: argparse.Namespace) -> int:
     H = _load_array(args.file)
     v = H.modulus
+    if args.expand:
+        _check_expand(H.m * H.n * v)
     if args.rows:
         parts = [H.row(i) for i in range(H.m)]
         source = "rows"
@@ -133,6 +144,8 @@ def _cmd_develop(args: argparse.Namespace) -> int:
 
 def _cmd_embed(args: argparse.Namespace) -> int:
     H = _load_array(args.file)
+    if args.expand:
+        _check_expand(2 * H.m * H.n * H.modulus)
     face_set = build_face_set(H)
     cert = certify(face_set)
     doc = {
@@ -182,10 +195,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
     H = _load_array(args.file)
     if args.all:
         check_oracle_size(H.n)
-    cfg = SearchConfig(strategy=args.strategy, node_budget=args.budget)
     doc: dict = {"array": _array_meta(H), "strategy": args.strategy}
     try:
-        outcome = find_simple_column_permutation(H, cfg)
+        outcome = find_simple_column_permutation(H, strategy=args.strategy, node_budget=args.budget)
     except BudgetExceededError:
         doc.update({"status": "budget_exceeded", "node_budget": args.budget})
         _print_json(doc)
@@ -211,7 +223,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    H = generate_heffter(args.m, args.n, SearchConfig(node_budget=args.budget, seed=args.seed))
+    H = generate_heffter(args.m, args.n, seed=args.seed, node_budget=args.budget)
     sys.stdout.write(serialize_array(H))
     return 0
 
@@ -260,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="find a column permutation making every row simple")
     p.add_argument("--file", required=True)
-    p.add_argument("--strategy", choices=("backtracking", "exhaustive"), default="backtracking")
-    p.add_argument("--budget", type=int, default=SearchConfig.node_budget)
+    p.add_argument("--strategy", choices=STRATEGIES, default="backtracking")
+    p.add_argument("--budget", type=int, default=NODE_BUDGET)
     p.add_argument("--all", action="store_true", help="also list every valid permutation (n <= 9)")
     p.set_defaults(func=_cmd_search)
 
@@ -269,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--budget", type=int, default=SearchConfig.node_budget)
+    p.add_argument("--budget", type=int, default=NODE_BUDGET)
     p.set_defaults(func=_cmd_generate)
     return parser
 

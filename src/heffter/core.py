@@ -23,14 +23,17 @@ MIN_DIMENSION = 3  # everything in scope has at least 3 rows and 3 columns
 class HeffterArray:
     """Immutable m x n grid of canonical residues mod v = 2mn + 1.
 
-    Construction validates shape, entry types and entry ranges only; the
-    Heffter axioms (zero sums, half-set) are checked by :func:`verify_heffter`
-    so that broken candidate arrays remain representable.
+    Construction stores the cells as a tuple of tuples, so the array is
+    hashable and equal to any array with the same rows, and validates shape,
+    entry types and entry ranges only; the Heffter axioms (zero sums,
+    half-set) are checked by :func:`verify_heffter` so that broken candidate
+    arrays remain representable.
     """
 
     cells: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "cells", _grid(self.cells))
         if len(self.cells) < MIN_DIMENSION:
             raise InvalidEntryError(f"need at least {MIN_DIMENSION} rows")
         widths = {len(row) for row in self.cells}
@@ -69,6 +72,14 @@ class HeffterArray:
             yield from row
 
 
+def _grid(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The rows as a tuple of tuples; InvalidEntryError when they, or a row, cannot be iterated."""
+    try:
+        return tuple(map(tuple, rows))
+    except TypeError:
+        raise InvalidEntryError("rows must be sequences of integers") from None
+
+
 def from_rows(rows: Sequence[Sequence[int]]) -> HeffterArray:
     """Build a HeffterArray from any nested integer sequences.
 
@@ -76,10 +87,7 @@ def from_rows(rows: Sequence[Sequence[int]]) -> HeffterArray:
     cell raises InvalidEntryError instead of being truncated or parsed, and
     so do rows, or a row, that cannot be iterated.
     """
-    try:
-        grid = tuple(map(tuple, rows))
-    except TypeError:
-        raise InvalidEntryError("rows must be sequences of integers") from None
+    grid = _grid(rows)
     try:
         cells = tuple(tuple(map(index, row)) for row in grid)
     except TypeError:  # convert what converts; HeffterArray names the first other cell
@@ -133,11 +141,6 @@ def verify_heffter(H: HeffterArray) -> VerificationReport:
         row_partial_sums=row_sums,
         col_partial_sums=col_sums,
     )
-
-
-def is_simple_array(H: HeffterArray) -> bool:
-    """True iff every row and every column of H has distinct partial sums."""
-    return verify_heffter(H).is_simple
 
 
 def reorder_columns(H: HeffterArray, order: Sequence[int]) -> HeffterArray:

@@ -201,24 +201,7 @@ def build_face_set(H: HeffterArray) -> FaceSet:
     return FaceSet(CycleSystem(v, rows), CycleSystem(v, tuple((0, *w[:0:-1]) for w in cols)))
 
 
-@dataclass(frozen=True)
-class RotationSystem:
-    """Vertex rotations of a translation-closed embedding of K_v.
-
-    Only the successor map at vertex 0 is stored; the map at u is its
-    translate, succ_u(a) = succ_0(a - u) + u.
-    """
-
-    v: int
-    at_zero: dict[int, int]
-
-    def rotation_cycle(self, u: int) -> Walk:
-        """The single cycle of neighbors at vertex u."""
-        v = self.v
-        return tuple((x + u) % v for x in orbit(self.at_zero, next(iter(self.at_zero))))
-
-
-def derive_rotations(F: FaceSet) -> RotationSystem:
+def derive_rotations(F: FaceSet) -> CycleSystem:
     """Reconstruct the vertex rotations from the corners of the base faces.
 
     A corner a -> u -> b of a face sets successor_u(a) = b; moved to vertex
@@ -226,7 +209,8 @@ def derive_rotations(F: FaceSet) -> RotationSystem:
     sets the same relative successor.  The map at vertex 0 must be a
     permutation of the v-1 neighbors (else the faces are inconsistent) and a
     single cycle (else every vertex is a pinch point and the complex is a
-    pseudosurface, not a surface).
+    pseudosurface, not a surface).  That cycle is the one base walk of the
+    result, so its translate by u, the u-th cycle, is the rotation at u.
     """
     v = F.v
     succ: dict[int, int] = {}
@@ -245,12 +229,12 @@ def derive_rotations(F: FaceSet) -> RotationSystem:
         raise InconsistentRotationError(
             "successor map at vertex 0 is not a permutation of its neighbors"
         )
-    length = len(orbit(succ, next(iter(succ))))
-    if length != v - 1:
+    rotation = orbit(succ, next(iter(succ)))
+    if len(rotation) != v - 1:
         raise PinchPointError(
-            f"rotation at vertex 0 splits (orbit {length} of {v - 1})"
+            f"rotation at vertex 0 splits (orbit {len(rotation)} of {v - 1})"
         )
-    return RotationSystem(v=v, at_zero=succ)
+    return CycleSystem(v, (rotation,))
 
 
 def genus_closed_form(n: int) -> int:

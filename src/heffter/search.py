@@ -35,27 +35,8 @@ from .errors import BudgetExceededError, NotHeffterError, OutOfRangeError, TooLa
 from .modmath import half_bound
 
 ORACLE_MAX_COLUMNS = 9  # n! complete checks beyond this are not desk-scale
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Search strategy and resource limits.
-
-    ``strategy`` selects pruned backtracking or plain exhaustive enumeration
-    (both complete; both return the lexicographically least solution).  The
-    seed only randomizes value order in ``generate_heffter``; permutation
-    search is always deterministic.
-    """
-
-    strategy: str = "backtracking"
-    node_budget: int = 5_000_000
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.strategy not in ("backtracking", "exhaustive"):
-            raise OutOfRangeError(f"unknown strategy {self.strategy!r}")
-        if self.node_budget <= 0:
-            raise OutOfRangeError(f"node_budget must be positive, got {self.node_budget}")
+NODE_BUDGET = 5_000_000  # default node budget of the search and the generator
+STRATEGIES = ("backtracking", "exhaustive")
 
 
 @dataclass(frozen=True)
@@ -139,20 +120,30 @@ def _search_exhaustive(H: HeffterArray, budget: int) -> tuple[tuple[int, ...] | 
     return None, nodes
 
 
+def _check_budget(node_budget: int) -> None:
+    if node_budget <= 0:
+        raise OutOfRangeError(f"node_budget must be positive, got {node_budget}")
+
+
 def find_simple_column_permutation(
-    H: HeffterArray, cfg: SearchConfig = SearchConfig()
+    H: HeffterArray, *, strategy: str = "backtracking", node_budget: int = NODE_BUDGET
 ) -> SearchOutcome:
     """Find a column permutation making every row of H simple.
 
-    Raises NotHeffterError when H is not a Heffter array, naming the first
-    row, else the first column, that does not sum to 0, else the half-set.
-    Deterministic for a fixed configuration: both strategies explore columns
-    in ascending order and return the lexicographically least valid
-    permutation.  The returned permutation is re-verified through
+    ``strategy`` selects pruned backtracking or plain exhaustive enumeration;
+    both are complete, explore columns in ascending order and return the
+    lexicographically least valid permutation, so the search is deterministic.
+    An unknown strategy, then a budget below 1, raises OutOfRangeError before
+    H is read.  Raises NotHeffterError when H is not a Heffter array, naming
+    the first row, else the first column, that does not sum to 0, else the
+    half-set.  The returned permutation is re-verified through
     ``verify_heffter`` (soundness is checked, never trusted); ``permutation``
     is None when the full space was exhausted without a solution.  Raises
-    BudgetExceededError when the node budget runs out first.
+    BudgetExceededError when ``node_budget`` nodes are spent first.
     """
+    if strategy not in STRATEGIES:
+        raise OutOfRangeError(f"unknown strategy {strategy!r}")
+    _check_budget(node_budget)
     report = verify_heffter(H)
     v = H.modulus
     for what, sum_ok in (("row", report.row_sum_ok), ("column", report.col_sum_ok)):
@@ -161,10 +152,10 @@ def find_simple_column_permutation(
                 raise NotHeffterError(f"{what} {k} does not sum to 0 mod {v}")
     if not report.half_set_ok:
         raise NotHeffterError(f"entries do not form a half-set of Z_{v}")
-    if cfg.strategy == "exhaustive":
-        perm, nodes = _search_exhaustive(H, cfg.node_budget)
+    if strategy == "exhaustive":
+        perm, nodes = _search_exhaustive(H, node_budget)
     else:
-        perm, nodes = _search_backtracking(H, cfg.node_budget)
+        perm, nodes = _search_backtracking(H, node_budget)
     if perm is not None:
         report = verify_heffter(reorder_columns(H, perm))
         if not (report.is_heffter and report.is_simple):
@@ -280,7 +271,7 @@ def _generate_attempt(
 
 
 def generate_heffter(
-    m: int, n: int, cfg: SearchConfig = SearchConfig()
+    m: int, n: int, *, seed: int | None = None, node_budget: int = NODE_BUDGET
 ) -> HeffterArray:
     """Backtracking construction of an m x n Heffter array over Z_{2mn+1}.
 
@@ -290,10 +281,11 @@ def generate_heffter(
 
     Every attempt is a ``(seed, budget)`` rung of one list, run in order:
     a seed shuffles the ascending value order, and None keeps it.  With
-    ``cfg.seed`` set the list is that seed with the full node budget.
+    ``seed`` set the list is that seed with all ``node_budget`` nodes.
     Otherwise it is None, then seeds 0, 1, 2, ..., each with a slice of
-    max(20,000, budget // 25) nodes, the last one with what is left.  Both
-    modes are fully deterministic for a fixed configuration.  Raises
+    max(20,000, node_budget // 25) nodes, the last one with what is left.
+    Both modes are fully deterministic for fixed arguments.  A budget below 1
+    raises OutOfRangeError before the dimensions are checked.  Raises
     BudgetExceededError when every rung has spent its budget, and before it
     allocates anything when no rung can fill the (m-1)(n-1) free cells,
     since each placement there is one node.
@@ -308,22 +300,22 @@ def generate_heffter(
     cells are a half-set; rows 0..m-2 and columns 0..n-1 are closed
     explicitly, and row m-1 sums to 0 since row and column sums share a total.
     """
+    _check_budget(node_budget)
     if m < MIN_DIMENSION or n < MIN_DIMENSION:
         raise OutOfRangeError(f"Heffter arrays need m, n >= {MIN_DIMENSION}, got {m} x {n}")
-    budget = cfg.node_budget
-    per = max(20_000, budget // 25)
-    rungs = [(cfg.seed, budget)] if cfg.seed is not None else [
-        (seed, min(per, budget - start))
-        for seed, start in zip(chain([None], count()), range(0, budget, per))
+    per = max(20_000, node_budget // 25)
+    rungs = [(seed, node_budget)] if seed is not None else [
+        (rung_seed, min(per, node_budget - start))
+        for rung_seed, start in zip(chain([None], count()), range(0, node_budget, per))
     ]
-    exceeded = f"generator exceeded {budget} nodes for {m} x {n}"
+    exceeded = f"generator exceeded {node_budget} nodes for {m} x {n}"
     if max(b for _, b in rungs) < (m - 1) * (n - 1):
         raise BudgetExceededError(exceeded)
     ascending = [s * a for a in range(1, m * n + 1) for s in (1, -1)]
-    for seed, b in rungs:
+    for rung_seed, b in rungs:
         values = list(ascending)
-        if seed is not None:
-            random.Random(seed).shuffle(values)
+        if rung_seed is not None:
+            random.Random(rung_seed).shuffle(values)
         grid = _generate_attempt(m, n, values, b)
         if grid is not None:
             return from_rows(grid)

@@ -5,6 +5,7 @@ import io
 import json
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -186,10 +187,9 @@ def test_cli_zero_budget_is_usage_error(tmp_path: Path) -> None:
         ["search", "--file", str(path), "--budget", "0"],
         ["search", "--file", str(bad_lines), "--budget", "0"],  # the budget is read first
         ["generate", "--m", "3", "--n", "3", "--budget", "0"],
+        ["generate", "--m", "2", "--n", "3", "--budget", "0"],  # before the dimensions
     ):
-        code, out, err = _run(argv)
-        assert (code, out) == (2, "")
-        assert err.startswith("error:") and "Traceback" not in err
+        assert _run(argv) == (2, "", "error: node_budget must be positive, got 0\n")
 
 
 def test_cli_gen3_verify_pipeline(tmp_path: Path, capsys: pytest.CaptureFixture[str]) -> None:
@@ -375,6 +375,45 @@ def test_cli_generate_past_the_recursion_limit_stops_at_budget() -> None:
     code, out, err = _run(["generate", "--m", "40", "--n", "40", "--budget", "10000"])
     assert (code, out) == (1, "")
     assert err == "error: generator exceeded 10000 nodes for 40 x 40\n"
+
+
+@pytest.mark.parametrize(
+    "argv, n, listed",
+    (
+        (["embed", "--expand"], 236, 2 * 3 * 236 * 1417),  # 235 lists 1,989,510
+        (["develop", "--rows", "--expand"], 334, 3 * 334 * 2005),  # 333 lists 1,997,001
+        (["develop", "--cols", "--expand"], 334, 3 * 334 * 2005),
+    ),
+)
+def test_cli_expand_refuses_more_than_the_limit_before_building(
+    tmp_path: Path, argv: list[str], n: int, listed: int
+) -> None:
+    path = tmp_path / "big.txt"
+    path.write_text(serialize_array(simple_h3(n)), encoding="ascii")
+    tracemalloc.start()
+    try:
+        result = _run([argv[0], "--file", str(path), *argv[1:]])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (2, "", f"error: --expand would list {listed} integers, more than 2000000\n")
+    assert peak < 1_000_000  # the listing itself would take hundreds of MB
+
+
+@pytest.mark.parametrize("argv, listed", ((["embed"], 2 * 3 * 4 * 25), (["develop", "--cols"], 3 * 4 * 25)))
+def test_cli_expand_lists_up_to_the_limit(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, argv: list[str], listed: int
+) -> None:
+    path = tmp_path / "h3_4.txt"
+    path.write_text(serialize_array(simple_h3(4)), encoding="ascii")
+    command = [argv[0], "--file", str(path), *argv[1:], "--expand"]
+    monkeypatch.setattr("heffter.cli.EXPAND_LIMIT", listed)
+    code, out, _ = _run(command)
+    doc = json.loads(out)
+    lists = doc["faces"].values() if "faces" in doc else [doc["cycles"]]
+    assert code == 0 and sum(len(c) for cycles in lists for c in cycles) == listed
+    monkeypatch.setattr("heffter.cli.EXPAND_LIMIT", listed - 1)
+    assert _run(command)[0] == 2
 
 
 def test_cli_generate_refuses_a_budget_below_the_free_cells() -> None:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from heffter.core import (
     HeffterArray,
     from_rows,
-    is_simple_array,
     reorder_columns,
     transpose,
     verify_heffter,
@@ -73,10 +72,30 @@ def test_from_rows_converts_integer_like_cells_before_naming_the_bad_one() -> No
         from_rows(row for row in [[True, 2.5, 3]] * 3)
 
 
-@pytest.mark.parametrize("rows", ([1, 2, 3], None, [[1, 2, 3], 5, [7, 8, 9]]))
+NOT_ROWS = ((1, 2, 3), None, ((1, 2, 3), 5, (7, 8, 9)))
+
+
+@pytest.mark.parametrize("rows", NOT_ROWS)
 def test_from_rows_rejects_rows_that_are_not_sequences(rows: object) -> None:
     with pytest.raises(InvalidEntryError, match="^rows must be sequences of integers$"):
         from_rows(rows)
+
+
+@pytest.mark.parametrize("rows", NOT_ROWS)
+def test_constructor_rejects_rows_that_are_not_sequences(rows: object) -> None:
+    with pytest.raises(InvalidEntryError, match="^rows must be sequences of integers$"):
+        HeffterArray(rows)  # type: ignore[arg-type]
+
+
+def test_constructor_stores_list_cells_as_tuples() -> None:
+    rows = [[1, 2, -3], [4, -6, 2], [-5, 4, 1]]
+    H = HeffterArray(rows)  # type: ignore[arg-type]
+    assert H.cells == ((1, 2, -3), (4, -6, 2), (-5, 4, 1))
+    assert H == from_rows(rows) and hash(H) == hash(from_rows(rows))
+    with pytest.raises(TypeError):
+        H.cells[0][0] = 0  # type: ignore[index]
+    rows[0][0] = 0  # the caller's lists are not the array's cells
+    assert H.cells[0][0] == 1
 
 
 def test_verify_published_arrays() -> None:
@@ -102,10 +121,10 @@ def test_single_perturbation_breaks_sums_and_half_set() -> None:
     assert not report.is_heffter
 
 
-def test_is_simple_array_published_examples() -> None:
-    assert is_simple_array(from_rows(H38_REORDERED))
-    assert not is_simple_array(from_rows(H38))
-    assert is_simple_array(from_rows(H34))
+def test_is_simple_published_examples() -> None:
+    assert verify_heffter(from_rows(H38_REORDERED)).is_simple
+    assert not verify_heffter(from_rows(H38)).is_simple
+    assert verify_heffter(from_rows(H34)).is_simple
 
 
 def test_reorder_columns_published_example() -> None:

@@ -34,7 +34,7 @@ from heffter.core import HeffterArray, from_rows, reorder_columns, transpose
 from heffter.h3 import construct_raw_h3, simple_h3
 from heffter.modmath import partial_sums
 from heffter.orderings import compatible_orderings
-from heffter.search import SearchConfig, find_simple_column_permutation, generate_heffter
+from heffter.search import find_simple_column_permutation, generate_heffter
 from oracles import _successors_exhaustive, certify_exhaustive
 
 
@@ -134,7 +134,7 @@ def _swap_in_row(H: HeffterArray, i: int, a: int, b: int) -> HeffterArray:
 @pytest.mark.parametrize(
     "H, raised, message",
     (
-        (generate_heffter(4, 4, SearchConfig(seed=1)), NoCompatibleConstructionError, "both dim"),
+        (generate_heffter(4, 4, seed=1), NoCompatibleConstructionError, "both dim"),
         (from_rows(((1, 2, 3), (4, 5, 6), (7, 8, 9))), NotHeffterError, "row part 1 does not sum"),
         (_swap_in_row(simple_h3(5), 0, 0, 4), NotHeffterError, "column part 1 does not sum"),
         (construct_raw_h3(8), NotSimpleError, "row part 1 has a repeated"),
@@ -160,9 +160,10 @@ def test_rotations_single_cycles_and_translation_invariant() -> None:
         face_set = build_face_set(H)
         rotations = derive_rotations(face_set)
         oracle = _successors_exhaustive(face_set)
-        assert len(rotations.at_zero) == v - 1
-        for u in range(v):
-            cycle = rotations.rotation_cycle(u)
+        assert (rotations.v, len(rotations.bases), rotations.k) == (v, 1, v - 1)
+        cycles = list(rotations)  # the u-th translate is the rotation at u
+        assert len(cycles) == v
+        for u, cycle in enumerate(cycles):
             assert len(cycle) == v - 1 and u not in cycle
             assert _successor_map(cycle) == oracle[u]
         # Vertex transitivity: rotation at u+1 is the translate of rotation at u.
@@ -223,7 +224,7 @@ def test_developed_rows_and_columns_of_generated_arrays_cover_each_pair_once(
     # heffter develop prints pair_coverage_ok as a constant; this is its proof's
     # test.  Lines of 4 or 5 entries are always simple; the columns of the
     # seed-0 7 x 5 array happen to be simple, as develop_cycles requires.
-    H = generate_heffter(m, n, SearchConfig(seed=seed))
+    H = generate_heffter(m, n, seed=seed)
     for parts in ([H.row(i) for i in range(m)], [H.column(j) for j in range(n)]):
         assert exact_pair_coverage(develop_cycles(parts, H.modulus))
 
@@ -232,9 +233,9 @@ def test_five_row_biembedding_certifies() -> None:
     # Every edge of K_41 on one 4-cycle and one 5-cycle face; the 3 x n
     # closed-form check does not apply (flag stays None).
     from heffter.core import reorder_columns
-    from heffter.search import SearchConfig, find_simple_column_permutation, generate_heffter
+    from heffter.search import find_simple_column_permutation, generate_heffter
 
-    H = generate_heffter(5, 4, SearchConfig(seed=3))
+    H = generate_heffter(5, 4, seed=3)
     outcome = find_simple_column_permutation(H)
     assert outcome.permutation is not None
     S = reorder_columns(H, outcome.permutation)
@@ -355,7 +356,7 @@ def _outcome(fn, arg):
 def _simple_5xn(n: int, seed: int):
     """A generated 5 x n array reordered to simple rows, or None."""
     try:
-        H = generate_heffter(5, n, SearchConfig(node_budget=50_000, seed=seed))
+        H = generate_heffter(5, n, seed=seed, node_budget=50_000)
     except BudgetExceededError:
         return None
     outcome = find_simple_column_permutation(H)
@@ -409,7 +410,7 @@ def test_quotient_checks_match_exhaustive_oracle(face_set: FaceSet) -> None:
     rotations = _outcome(derive_rotations, face_set)
     oracle = _outcome(_successors_exhaustive, face_set)
     if isinstance(oracle, tuple):
-        assert all(_successor_map(rotations.rotation_cycle(u)) == oracle[u] for u in range(v))
+        assert [_successor_map(cycle) for cycle in rotations] == list(oracle)
     else:
         assert rotations == oracle
     for system in (face_set.rows, face_set.cols):

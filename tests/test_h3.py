@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from heffter.core import is_simple_array, verify_heffter
+from heffter.core import verify_heffter
 from heffter.errors import OutOfRangeError, UnsupportedError
 from heffter.h3 import (
     H33,
@@ -100,7 +100,7 @@ def test_simple_h3_verifies_and_is_simple(n: int) -> None:
     H = simple_h3(n)
     report = verify_heffter(H)
     assert report.is_heffter
-    assert is_simple_array(H)
+    assert report.is_simple
 
 
 @pytest.mark.parametrize("n", range(5, 80))

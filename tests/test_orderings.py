@@ -15,7 +15,7 @@ from heffter.errors import (
 )
 from heffter.h3 import construct_raw_h3, simple_h3
 from heffter.orderings import compatible_orderings, compose
-from heffter.search import SearchConfig, generate_heffter
+from heffter.search import generate_heffter
 from oracles import check_ordering_parts, composition_orbit, ordering_parts
 
 
@@ -71,7 +71,7 @@ def test_compose_is_a_bijection() -> None:
 
 
 def test_both_even_rejected() -> None:
-    H = generate_heffter(4, 4, SearchConfig(node_budget=2_000_000))
+    H = generate_heffter(4, 4, node_budget=2_000_000)
     with pytest.raises(NoCompatibleConstructionError):
         compatible_orderings(H)
 
@@ -153,8 +153,8 @@ ORDERING_CASES = [
     # Swapping two cells of row 1 keeps the row sums and breaks two columns.
     (_swap(simple_h3(5), (0, 0), (0, 4)), NotHeffterError),
     (_swap(simple_h3(4), (2, 0), (2, 3)), NotHeffterError),
-    (generate_heffter(4, 4, SearchConfig(seed=1)), NoCompatibleConstructionError),
-    (_swap(generate_heffter(4, 4, SearchConfig(seed=1)), (0, 0), (1, 1)), NoCompatibleConstructionError),
+    (generate_heffter(4, 4, seed=1), NoCompatibleConstructionError),
+    (_swap(generate_heffter(4, 4, seed=1), (0, 0), (1, 1)), NoCompatibleConstructionError),
 ]
 
 
@@ -168,7 +168,7 @@ def test_compatible_orderings_matches_part_by_part_check(H: HeffterArray, raised
 @lru_cache(maxsize=None)
 def _heffter_pool() -> tuple[HeffterArray, ...]:
     generated = [
-        generate_heffter(m, n, SearchConfig(seed=seed))
+        generate_heffter(m, n, seed=seed)
         for m, n, seed in ((3, 4, 1), (4, 3, 2), (3, 7, 0), (4, 4, 1), (5, 4, 0), (4, 5, 0), (5, 5, 0))
     ]
     return (*generated, *(simple_h3(n) for n in range(3, 10)), RAW8, transpose(RAW8))

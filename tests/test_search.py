@@ -6,11 +6,10 @@ import tracemalloc
 import pytest
 
 from heffter.arrayfile import serialize_array
-from heffter.core import from_rows, is_simple_array, reorder_columns, verify_heffter
+from heffter.core import from_rows, reorder_columns, verify_heffter
 from heffter.errors import BudgetExceededError, NotHeffterError, OutOfRangeError, TooLargeError
 from heffter.h3 import construct_raw_h3, simple_h3
 from heffter.search import (
-    SearchConfig,
     _fill_schedule,
     brute_force_oracle,
     find_simple_column_permutation,
@@ -19,10 +18,28 @@ from heffter.search import (
 
 
 def test_config_validation() -> None:
-    with pytest.raises(ValueError):
-        SearchConfig(strategy="simulated-annealing")
-    with pytest.raises(ValueError):
-        SearchConfig(node_budget=0)
+    H = construct_raw_h3(8)
+    with pytest.raises(OutOfRangeError, match="^unknown strategy 'simulated-annealing'$"):
+        find_simple_column_permutation(H, strategy="simulated-annealing")
+    with pytest.raises(OutOfRangeError, match="^node_budget must be positive, got 0$"):
+        find_simple_column_permutation(H, node_budget=0)
+    with pytest.raises(OutOfRangeError, match="^node_budget must be positive, got 0$"):
+        generate_heffter(5, 6, node_budget=0)
+    # The strategy is read before the budget, and the budget before the input.
+    bad = from_rows(((1, 2, 3), (4, 5, 6), (7, 8, 9)))  # no line sums to 0 mod 19
+    with pytest.raises(OutOfRangeError, match="^unknown strategy 'x'$"):
+        find_simple_column_permutation(bad, strategy="x", node_budget=0)
+    with pytest.raises(OutOfRangeError, match="^node_budget must be positive, got 0$"):
+        find_simple_column_permutation(bad, node_budget=0)
+    with pytest.raises(OutOfRangeError, match="^node_budget must be positive, got -1$"):
+        generate_heffter(2, 2, node_budget=-1)
+    # Each function takes only the knobs it reads, by keyword.
+    with pytest.raises(TypeError):
+        find_simple_column_permutation(H, seed=1)
+    with pytest.raises(TypeError):
+        generate_heffter(5, 6, strategy="exhaustive")
+    with pytest.raises(TypeError):
+        generate_heffter(5, 6, 1)
 
 
 def test_search_fixes_the_published_h38() -> None:
@@ -30,9 +47,9 @@ def test_search_fixes_the_published_h38() -> None:
     outcome = find_simple_column_permutation(H)
     assert outcome.permutation is not None
     reordered = reorder_columns(H, outcome.permutation)
-    assert is_simple_array(reordered)
+    assert verify_heffter(reordered).is_simple
     # The published reordering is one of the valid candidates.
-    assert is_simple_array(reorder_columns(H, (1, 2, 6, 8, 5, 3, 4, 7)))
+    assert verify_heffter(reorder_columns(H, (1, 2, 6, 8, 5, 3, 4, 7))).is_simple
 
 
 def test_search_returns_identity_on_already_simple_arrays() -> None:
@@ -43,7 +60,7 @@ def test_search_returns_identity_on_already_simple_arrays() -> None:
 def test_exhaustive_and_backtracking_agree() -> None:
     for H in (construct_raw_h3(5), construct_raw_h3(8), simple_h3(6)):
         pruned = find_simple_column_permutation(H)
-        full = find_simple_column_permutation(H, SearchConfig(strategy="exhaustive"))
+        full = find_simple_column_permutation(H, strategy="exhaustive")
         assert pruned.permutation == full.permutation
 
 
@@ -74,9 +91,9 @@ def test_oracle_rejects_large_n() -> None:
 def test_budget_exhaustion_is_distinguished() -> None:
     H = construct_raw_h3(8)
     with pytest.raises(BudgetExceededError, match="^permutation search exceeded 3 nodes$"):
-        find_simple_column_permutation(H, SearchConfig(node_budget=3))
+        find_simple_column_permutation(H, node_budget=3)
     with pytest.raises(BudgetExceededError, match="^exhaustive search exceeded 3 permutations$"):
-        find_simple_column_permutation(H, SearchConfig(strategy="exhaustive", node_budget=3))
+        find_simple_column_permutation(H, strategy="exhaustive", node_budget=3)
 
 
 def test_search_agrees_with_oracle_on_generated_instances() -> None:
@@ -84,7 +101,7 @@ def test_search_agrees_with_oracle_on_generated_instances() -> None:
     # the complete enumeration.
     for seed in range(20):
         n = 3 + seed % 4  # n in 3..6
-        H = generate_heffter(3, n, SearchConfig(node_budget=2_000_000, seed=seed))
+        H = generate_heffter(3, n, seed=seed, node_budget=2_000_000)
         valid = brute_force_oracle(H)
         outcome = find_simple_column_permutation(H)
         if valid:
@@ -117,7 +134,7 @@ def test_none_exists_verdict_on_unfixable_grid() -> None:
     assert brute_force_oracle(grid) == []
     outcome = find_simple_column_permutation(grid)
     assert outcome.permutation is None
-    exhaustive = find_simple_column_permutation(grid, SearchConfig(strategy="exhaustive"))
+    exhaustive = find_simple_column_permutation(grid, strategy="exhaustive")
     assert (exhaustive.permutation, exhaustive.nodes) == (None, 720)
 
 
@@ -140,14 +157,13 @@ def test_search_rejects_input_that_is_not_a_heffter_array(
     strategy: str, rows: tuple, message: str
 ) -> None:
     with pytest.raises(NotHeffterError, match=rf"^{message}$"):
-        find_simple_column_permutation(from_rows(rows), SearchConfig(strategy=strategy))
+        find_simple_column_permutation(from_rows(rows), strategy=strategy)
 
 
 def test_search_determinism() -> None:
     H = construct_raw_h3(8)
-    cfg = SearchConfig()
-    first = find_simple_column_permutation(H, cfg)
-    second = find_simple_column_permutation(H, cfg)
+    first = find_simple_column_permutation(H)
+    second = find_simple_column_permutation(H)
     assert first.permutation == second.permutation
     assert first.nodes == second.nodes
 
@@ -167,9 +183,8 @@ def test_generate_rejects_small_dimensions() -> None:
 
 
 def test_generate_determinism() -> None:
-    cfg = SearchConfig(seed=7)
-    first = generate_heffter(5, 4, cfg)
-    second = generate_heffter(5, 4, cfg)
+    first = generate_heffter(5, 4, seed=7)
+    second = generate_heffter(5, 4, seed=7)
     assert first.cells == second.cells
     default_first = generate_heffter(5, 4)
     default_second = generate_heffter(5, 4)
@@ -178,10 +193,10 @@ def test_generate_determinism() -> None:
 
 def test_generate_budget_error() -> None:
     with pytest.raises(BudgetExceededError):
-        generate_heffter(5, 6, SearchConfig(node_budget=50))
+        generate_heffter(5, 6, node_budget=50)
     # 1,600 cells: one schedule step per cell is deeper than the recursion limit.
     with pytest.raises(BudgetExceededError):
-        generate_heffter(40, 40, SearchConfig(node_budget=10_000))
+        generate_heffter(40, 40, node_budget=10_000)
 
 
 @pytest.mark.parametrize("seed", (None, 3))
@@ -191,7 +206,7 @@ def test_generate_refuses_an_unreachable_budget_before_allocating(seed: int | No
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError, match="^generator exceeded 10 nodes for 400 x 400$"):
-            generate_heffter(400, 400, SearchConfig(node_budget=10, seed=seed))
+            generate_heffter(400, 400, seed=seed, node_budget=10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -200,10 +215,10 @@ def test_generate_refuses_an_unreachable_budget_before_allocating(seed: int | No
 
 def test_generate_budget_of_exactly_the_free_cells_can_succeed() -> None:
     # Seed 31 fills the 2 x 2 free cells of a 3 x 3 array without backtracking.
-    H = generate_heffter(3, 3, SearchConfig(node_budget=4, seed=31))
+    H = generate_heffter(3, 3, seed=31, node_budget=4)
     assert verify_heffter(H).is_heffter
     with pytest.raises(BudgetExceededError, match="^generator exceeded 3 nodes for 3 x 3$"):
-        generate_heffter(3, 3, SearchConfig(node_budget=3, seed=31))
+        generate_heffter(3, 3, seed=31, node_budget=3)
 
 
 @pytest.mark.parametrize("m", range(3, 13))
@@ -227,14 +242,14 @@ def test_generated_h5n_admit_simple_reorderings() -> None:
         H = generate_heffter(5, n)
         outcome = find_simple_column_permutation(H)
         assert outcome.permutation is not None
-        assert is_simple_array(reorder_columns(H, outcome.permutation))
+        assert verify_heffter(reorder_columns(H, outcome.permutation)).is_simple
 
 
 def test_columns_of_short_arrays_always_simple() -> None:
     # Distinct nonzero residues summing to 0: 3- and 5-element columns cannot
     # repeat a partial sum, so column-unit reorderings preserve simplicity.
     for m, n, seed in ((3, 5, 1), (5, 3, 2)):
-        H = generate_heffter(m, n, SearchConfig(seed=seed))
+        H = generate_heffter(m, n, seed=seed)
         assert all(verify_heffter(H).col_simple)
 
 
@@ -268,11 +283,11 @@ def test_generator_reproduces_recorded_corpus() -> None:
             for seed in (None, 0, 1, 2):
                 if (m, n, seed) not in GENERATOR_STOPS:
                     with pytest.raises(BudgetExceededError):
-                        generate_heffter(m, n, SearchConfig(node_budget=GENERATOR_CAP, seed=seed))
+                        generate_heffter(m, n, seed=seed, node_budget=GENERATOR_CAP)
     for (m, n, seed), stop in (GENERATOR_STOPS | LADDER_STOPS).items():
         with pytest.raises(BudgetExceededError):
-            generate_heffter(m, n, SearchConfig(node_budget=stop - 1, seed=seed))
-        H = generate_heffter(m, n, SearchConfig(node_budget=stop, seed=seed))
+            generate_heffter(m, n, seed=seed, node_budget=stop - 1)
+        H = generate_heffter(m, n, seed=seed, node_budget=stop)
         digest.update(serialize_array(H).encode())
     assert digest.hexdigest() == GENERATOR_DIGEST
 
@@ -280,5 +295,5 @@ def test_generator_reproduces_recorded_corpus() -> None:
 def test_generator_corpus_arrays_are_heffter() -> None:
     # generate_heffter returns its grid unverified; the proof is in its docstring.
     for (m, n, seed), stop in (GENERATOR_STOPS | LADDER_STOPS).items():
-        H = generate_heffter(m, n, SearchConfig(node_budget=stop, seed=seed))
+        H = generate_heffter(m, n, seed=seed, node_budget=stop)
         assert verify_heffter(H).is_heffter, (m, n, seed)
