@@ -149,8 +149,12 @@ def reorder_columns(H: HeffterArray, order: Sequence[int]) -> HeffterArray:
     Column a_j of H becomes column j of the result, so each row is reordered
     by the same permutation while columns move as unbroken units.
     """
-    perm = tuple(order)
-    if sorted(perm) != list(range(1, H.n + 1)):
+    try:
+        perm = tuple(order)
+    except TypeError:  # not iterable: reported as given
+        perm = order
+    if (not isinstance(perm, tuple) or any(type(a) is not int for a in perm)
+            or sorted(perm) != list(range(1, H.n + 1))):
         raise InvalidPermutationError(f"{perm!r} is not a permutation of 1..{H.n}")
     return HeffterArray(
         tuple(tuple(row[a - 1] for a in perm) for row in H.cells)

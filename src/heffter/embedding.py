@@ -242,10 +242,10 @@ def genus_closed_form(n: int) -> int:
 
     With v = 6n + 1 there are E = 3nv edges and F = nv + 3v faces, so
     chi = v - 3nv + (n+3)v = v(4 - 2n) and g = 1 - chi/2 = 1 + (6n+1)(n-2).
-    Defined for n >= 3, the sizes for which an H(3,n) exists.
+    Defined for int n >= 3, the sizes for which an H(3,n) exists.
     """
-    if n < 3:
-        raise OutOfRangeError(f"the genus formula needs n >= 3, got {n}")
+    if type(n) is not int or n < 3:
+        raise OutOfRangeError(f"the genus formula needs n >= 3, got {n!r}")
     return 1 + (6 * n + 1) * (n - 2)
 
 

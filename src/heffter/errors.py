@@ -17,7 +17,7 @@ class ZeroResidueError(HeffterError, ValueError):
 
 
 class ModulusMismatchError(HeffterError, ValueError):
-    """A residue lies outside the canonical range of the stated modulus."""
+    """A modulus or residue is not an int, or lies outside the canonical range."""
 
 
 class InvalidEntryError(HeffterError, ValueError):

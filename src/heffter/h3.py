@@ -8,11 +8,14 @@ progressions with explicit heads and tails, and interval tables predicting
 the partial sums of every reordered row.
 
 All block entries and interval bounds are stored as coefficient pairs /
-triples so each printed number is auditable one-for-one.  The printed
-interval tables contain a handful of typos; they are kept verbatim and the
-corrections, established by direct partial-sum computation, live in
-:data:`TABLE_ERRATA`; :func:`table_errata` gives the exact residues each
-printed table omits or adds.
+triples so each printed number is auditable one-for-one.  The class and
+scale m follow from n in :func:`_residue_class`, and every raw entry the
+forms give lies in [-3n, 3n] \\ {0}, which tests/test_h3.py proves for all
+n from slopes and intercepts, so :func:`construct_raw_h3` reduces none mod
+6n+1.  The printed interval tables contain a handful of typos; they are
+kept verbatim and the corrections, established by direct partial-sum
+computation, live in :data:`TABLE_ERRATA`; :func:`table_errata` gives the
+exact residues each printed table omits or adds.
 
 n = 3 and n = 4 are explicit simple arrays; n = 8 keeps its published
 explicit reordering because the general residue-0 tail differs from it.
@@ -26,7 +29,6 @@ from typing import Callable, Iterable
 
 from .core import HeffterArray, from_rows, reorder_columns
 from .errors import OutOfRangeError, UnsupportedError
-from .modmath import _canon_all
 
 Lin = tuple[int, int]  # (a, b) -> a*m + b
 LinR = tuple[int, int, int]  # (a, b, c) -> a*m + b*r + c
@@ -55,11 +57,6 @@ Group = tuple[tuple[int, ...], Lin, Lin, int, tuple[int, ...]]
 class _Case:
     """One residue class of the main construction."""
 
-    # Smallest n of the class, congruent to n mod 8, so the scale
-    # m = (n - first_n) // 8 is exact; it is never negative, since n = 3, 4
-    # are explicit and first_n is 5, 6, 7 for n % 8 = 5, 6, 7 and 8..12
-    # for n % 8 = 0..4, and every n >= 5 of a class is at least its first_n.
-    first_n: int
     lead: tuple[tuple[Lin, ...], ...]
     repeat: tuple[tuple[LinR, ...], ...]
     groups: tuple[Group, ...]
@@ -68,7 +65,6 @@ class _Case:
 
 _CASES: dict[int, _Case] = {
     0: _Case(
-        first_n=8,
         lead=(
             ((-12, -13), (-10, -11), (4, 6), (4, 3)),
             ((4, 4), (-8, -7), (18, 17), (18, 19)),
@@ -126,7 +122,6 @@ _CASES: dict[int, _Case] = {
         ),
     ),
     1: _Case(
-        first_n=9,
         lead=(
             ((8, 7), (10, 12), (16, 18), (4, 6), (4, 3)),
             ((8, 10), (8, 9), (-12, -14), (-22, -26), (18, 22)),
@@ -180,7 +175,6 @@ _CASES: dict[int, _Case] = {
         ),
     ),
     2: _Case(
-        first_n=10,
         lead=(
             ((24, 30), (16, 21), (10, 13), (8, 8), (4, 5), (8, 9)),
             ((24, 29), (-8, -11), (-10, -14), (12, 16), (16, 20), (12, 17)),
@@ -249,7 +243,6 @@ _CASES: dict[int, _Case] = {
         ),
     ),
     3: _Case(
-        first_n=11,
         lead=(
             ((24, 33), (8, 11), (8, 13), (4, 6), (0, 1), (-12, -17), (8, 10)),
             ((24, 32), (-16, -23), (-12, -18), (10, 15), (20, 27), (-8, -9), (14, 20)),
@@ -313,7 +306,6 @@ _CASES: dict[int, _Case] = {
         ),
     ),
     4: _Case(
-        first_n=12,
         lead=(
             ((8, 13), (10, 16), (22, 34), (-4, -5), (4, 7), (-22, -35), (-12, -18), (0, -1)),
             ((4, 6), (8, 11), (-4, -8), (22, 33), (-14, -22), (4, 10), (0, -2), (-20, -30)),
@@ -383,7 +375,6 @@ _CASES: dict[int, _Case] = {
         ),
     ),
     5: _Case(
-        first_n=5,
         lead=(
             ((8, 6), (10, 7), (-16, -10), (-4, -4), (4, 1)),
             ((-16, -9), (8, 5), (4, 2), (-18, -11), (18, 13)),
@@ -437,7 +428,6 @@ _CASES: dict[int, _Case] = {
         ),
     ),
     6: _Case(
-        first_n=6,
         lead=(
             ((24, 18), (-16, -13), (0, -1), (8, 4), (-4, -3), (-8, -5)),
             ((0, 2), (8, 6), (-10, -8), (-20, -14), (-16, -12), (-12, -11)),
@@ -494,7 +484,6 @@ _CASES: dict[int, _Case] = {
         ),
     ),
     7: _Case(
-        first_n=7,
         lead=(
             ((24, 21), (16, 15), (4, 3), (-4, -4), (-20, -18), (-12, -11), (-8, -6)),
             ((0, 2), (-8, -8), (-12, -12), (14, 14), (0, 1), (20, 16), (-14, -13)),
@@ -564,38 +553,36 @@ def _lin(e: Lin, m: int) -> int:
     return e[0] * m + e[1]
 
 
+def _residue_class(n: int) -> tuple[_Case, int]:
+    """The residue class of n mod 8 and the scale m at which its forms are read.
+
+    m = n // 8 - (n % 8 < 5) is (n - f) // 8 for the smallest n >= 5 of the
+    class, f = n % 8 for classes 5..7 and n % 8 + 8 for classes 0..4, so
+    m >= 0 for every n >= 5.  n = 3, 4 (m = -1) are the callers' own cases.
+    """
+    if n < 3:
+        raise OutOfRangeError(f"no 3 x n Heffter array for n={n} < 3")
+    return _CASES[n % 8], n // 8 - (n % 8 < 5)
+
+
 def _expand_group(group: Group, n: int) -> list[int]:
     head, start, end, step, tail = group
-    a = start[0] * n + start[1]
-    b = end[0] * n + end[1]
-    cols = list(head)
-    if step > 0:
-        cols.extend(range(a, b + 1, step))
-    else:
-        cols.extend(range(a, b - 1, step))
-    cols.extend(tail)
-    return cols
+    return [*head, *range(_lin(start, n), _lin(end, n) + (1 if step > 0 else -1), step), *tail]
 
 
 def construct_raw_h3(n: int) -> HeffterArray:
     """The published (unreordered) 3 x n Heffter array over Z_{6n+1}."""
-    if n < 3:
-        raise OutOfRangeError(f"no 3 x n Heffter array for n={n} < 3")
     if n == 3:
         return from_rows(H33)
     if n == 4:
         return from_rows(H34)
-    case = _CASES[n % 8]
-    m = (n - case.first_n) // 8
-    v = 6 * n + 1
-    rows: list[list[int]] = [[], [], []]
-    for i in range(3):
-        rows[i].extend(_lin(e, m) for e in case.lead[i])
+    case, m = _residue_class(n)
+    rows = [[_lin(e, m) for e in lead] for lead in case.lead]
     for r in range((n - len(case.lead[0])) // 4):  # the 3 x 4 blocks A_r fill the rest
         sign = -1 if r % 2 else 1
-        for i in range(3):
-            rows[i].extend(sign * (a * m + b * r + c) for a, b, c in case.repeat[i])
-    return from_rows([_canon_all(row, v) for row in rows])
+        for row, block in zip(rows, case.repeat):
+            row.extend(sign * (a * m + b * r + c) for a, b, c in block)
+    return from_rows(rows)  # unreduced: from_rows raises on a cell outside [-3n, 3n] \ {0}
 
 
 def standard_reordering(n: int) -> tuple[int, ...]:
@@ -605,17 +592,12 @@ def standard_reordering(n: int) -> tuple[int, ...]:
     published permutation for n = 8; otherwise the residue class's step-4
     progression groups, with empty progressions dropped.
     """
-    if n < 3:
-        raise OutOfRangeError(f"no 3 x n Heffter array for n={n} < 3")
     if n in (3, 4):
         return tuple(range(1, n + 1))
     if n == 8:
         return R8
-    case = _CASES[n % 8]
-    perm: list[int] = []
-    for group in case.groups:
-        perm.extend(_expand_group(group, n))
-    return tuple(perm)
+    case, _ = _residue_class(n)
+    return tuple(chain.from_iterable(_expand_group(group, n) for group in case.groups))
 
 
 def simple_h3(n: int) -> HeffterArray:
@@ -638,12 +620,10 @@ def _row_table(n: int, row: int, atoms: Callable[[_Case], Iterable[Atom]]) -> fr
         raise OutOfRangeError(f"row must be 1..3, got {row}")
     if n == 8:
         return SUMS8[row - 1]
-    if n < 3:
-        raise OutOfRangeError(f"no 3 x n Heffter array for n={n} < 3")
+    case, m = _residue_class(n)
     if n < 9:
         raise UnsupportedError(f"no partial-sum tables cover n={n}")
-    case = _CASES[n % 8]
-    return _instantiate(atoms(case), (n - case.first_n) // 8, 6 * n + 1)
+    return _instantiate(atoms(case), m, 6 * n + 1)
 
 
 def predicted_row_sums(n: int, row: int) -> frozenset[int]:

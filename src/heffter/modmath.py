@@ -5,8 +5,9 @@ A nonzero class of Z_v is stored as the unique integer in
 containing exactly one of {x, -x} for every pair.  Partial sums are reported
 as least nonnegative residues, so a zero-sum sequence always ends in 0.
 
-Validation contract: the public functions check the modulus and that every
-input is a canonical nonzero residue, computing the bound once per call.
+Validation contract: the public functions check that the modulus and every
+input are ints (bools excluded) and that every input is a canonical nonzero
+residue, computing the bound once per call.
 The ``_``-prefixed kernels check nothing; they assume canonical input, as
 found in a validated :class:`~heffter.core.HeffterArray`, and are what the
 package's own hot paths call.
@@ -21,9 +22,9 @@ from .errors import ModulusMismatchError, OutOfRangeError, ZeroResidueError
 
 
 def check_modulus(v: int) -> None:
-    """Reject moduli that are not odd integers >= 3."""
-    if v < 3 or v % 2 == 0:
-        raise ModulusMismatchError(f"modulus must be odd and >= 3, got {v}")
+    """Reject moduli that are not odd integers >= 3 (a bool is not one)."""
+    if type(v) is not int or v < 3 or v % 2 == 0:
+        raise ModulusMismatchError(f"modulus must be an odd integer >= 3, got {v!r}")
 
 
 def half_bound(v: int) -> int:
@@ -38,24 +39,21 @@ def canon(x: int, v: int) -> int:
     and never appears in a half-set.
     """
     check_modulus(v)
-    if x % v == 0:
+    if type(x) is not int:
+        raise ModulusMismatchError(f"{x!r} is not an integer residue mod {v}")
+    r = x % v
+    if r == 0:
         raise ZeroResidueError(f"{x} is congruent to 0 mod {v}")
-    return _canon_all((x,), v)[0]
-
-
-def _canon_all(seq: Iterable[int], v: int) -> list[int]:
-    """Canonical representatives of seq; a multiple of v becomes 0."""
-    bound = half_bound(v)
-    return [r if r <= bound else r - v for r in (x % v for x in seq)]
+    return r if r <= half_bound(v) else r - v
 
 
 def _require_canonical(seq: Iterable[int], v: int) -> None:
     check_modulus(v)
     bound = half_bound(v)
     for x in seq:
-        if x == 0 or not -bound <= x <= bound:
+        if type(x) is not int or x == 0 or not -bound <= x <= bound:
             raise ModulusMismatchError(
-                f"{x} is not a canonical nonzero residue mod {v}"
+                f"{x!r} is not a canonical nonzero residue mod {v}"
             )
 
 

@@ -144,6 +144,18 @@ def test_reorder_columns_rejects_non_permutations() -> None:
             reorder_columns(H, bad)
 
 
+@pytest.mark.parametrize("bad, shown", (
+    ([1, 2, 3.0], r"\(1, 2, 3\.0\)"),
+    ([True, 2, 3], r"\(True, 2, 3\)"),
+    (["1", "2", "3"], r"\('1', '2', '3'\)"),
+    (None, "None"),
+    (5, "5"),
+))
+def test_reorder_columns_rejects_non_int_or_non_iterable_orders(bad: object, shown: str) -> None:
+    with pytest.raises(InvalidPermutationError, match=rf"^{shown} is not a permutation of 1\.\.3$"):
+        reorder_columns(from_rows(H33), bad)
+
+
 def test_transpose_involution_and_flags() -> None:
     H = from_rows(H35)
     assert transpose(transpose(H)) == H

@@ -28,6 +28,7 @@ from heffter.errors import (
     NotAnEmbeddingError,
     NotHeffterError,
     NotSimpleError,
+    OutOfRangeError,
     PinchPointError,
 )
 from heffter.core import HeffterArray, from_rows, reorder_columns, transpose
@@ -98,6 +99,15 @@ def test_develop_rejects_non_canonical_entries() -> None:
         develop_cycles([(1, 2, 40)], 7)
     with pytest.raises(ModulusMismatchError):
         develop_cycles([(1, 2, -3)], 8)  # even modulus
+
+
+def test_develop_rejects_non_int_entries_and_modulus() -> None:
+    with pytest.raises(ModulusMismatchError,
+                       match=r"^0\.5 is not a canonical nonzero residue mod 7$"):
+        develop_cycles([[0.5, 2.5, -3]], 7)
+    with pytest.raises(ModulusMismatchError,
+                       match=r"^modulus must be an odd integer >= 3, got 7\.0$"):
+        develop_cycles([[1, 2, -3]], 7.0)
 
 
 def test_face_set_counts_for_n3() -> None:
@@ -203,6 +213,12 @@ def test_genus_closed_form_equals_simplified_expression(n: int) -> None:
 
 def test_genus_published_value() -> None:
     assert genus_closed_form(5) == 94
+
+
+@pytest.mark.parametrize("n", (3.5, 5.0, True, 2))
+def test_genus_closed_form_rejects_non_int_or_small_n(n: object) -> None:
+    with pytest.raises(OutOfRangeError, match=rf"^the genus formula needs n >= 3, got {n!r}$"):
+        genus_closed_form(n)
 
 
 def test_exact_pair_coverage_detects_damage() -> None:

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import hashlib
+from itertools import chain
+
 import pytest
 
+from heffter.arrayfile import serialize_array
 from heffter.core import verify_heffter
 from heffter.errors import OutOfRangeError, UnsupportedError
 from heffter.h3 import (
@@ -9,6 +13,7 @@ from heffter.h3 import (
     H34,
     TABLE_ERRATA,
     _CASES,
+    _residue_class,
     construct_raw_h3,
     corrected_row_sums,
     predicted_row_sums,
@@ -107,6 +112,67 @@ def test_simple_h3_verifies_and_is_simple(n: int) -> None:
 def test_raw_entries_cover_exact_half_set(n: int) -> None:
     raw = construct_raw_h3(n)
     assert sorted(abs(x) for x in raw.entries()) == list(range(1, 3 * n + 1))
+
+
+def _first_n(c: int) -> int:
+    """The smallest n >= 5 in residue class c mod 8."""
+    return c if c >= 5 else c + 8
+
+
+def test_residue_class_scale_starts_at_zero_and_steps_every_eight() -> None:
+    for c, case in _CASES.items():
+        assert _residue_class(_first_n(c)) == (case, 0)
+        assert _residue_class(_first_n(c) + 8) == (case, 1)
+        assert _residue_class(_first_n(c) + 8 * 37) == (case, 37)
+
+
+@pytest.mark.parametrize("n", (2, -1))
+def test_every_entry_point_gives_one_message_below_3(n: int) -> None:
+    entry_points = (construct_raw_h3, standard_reordering, simple_h3,
+                    lambda n: predicted_row_sums(n, 1), lambda n: corrected_row_sums(n, 1),
+                    lambda n: table_errata(n, 1))
+    for entry in entry_points:
+        with pytest.raises(OutOfRangeError, match=rf"^no 3 x n Heffter array for n={n} < 3$"):
+            entry(n)
+
+
+def _canonical_from(slope: int, intercept: int, n0: int) -> bool:
+    """slope*t + intercept is nonzero, of one sign and within 3(n0 + 8t) for every t >= 0."""
+    return (intercept != 0 and slope * intercept >= 0
+            and abs(intercept) <= 3 * n0 and abs(slope) <= 24)
+
+
+def test_raw_entries_are_canonical_for_every_n() -> None:
+    # construct_raw_h3 reduces no entry, because each lies in [-3n, 3n] \ {0}
+    # (3n = (v-1)/2).  In class c, n = f + 8m with f the first n >= 5 of the
+    # class.  A lead entry is a*m + b for m >= 0.  Block r of R = (n - L)/4 =
+    # 2m + k, with L lead columns, is +-(a*m + b*r + c): linear in r, so it is
+    # nonzero and bounded when its two r-endpoints are, with one sign.  Each
+    # endpoint is linear in m from the first m with a block, and a line
+    # s*t + i keeps its sign and |s*t + i| = |i| + |s|t <= 3(n0 + 8t) when
+    # i != 0, s is 0 or has the sign of i, |i| <= 3 n0 and |s| <= 24.
+    for c, case in _CASES.items():
+        f, lead_cols = _first_n(c), len(case.lead[0])
+        k, rest = divmod(f - lead_cols, 4)
+        assert rest == 0 and k in (0, 1), c
+        for a, b in chain.from_iterable(case.lead):
+            assert _canonical_from(a, b, f), (c, a, b)
+        m0 = 1 - k  # the first m with R >= 1
+        n0 = f + 8 * m0
+        for a, b, c0 in chain.from_iterable(case.repeat):
+            first = (a, a * m0 + c0)  # r = 0
+            last = (a + 2 * b, (a + 2 * b) * m0 + b * (k - 1) + c0)  # r = R - 1 = 2m + k - 1
+            assert _canonical_from(*first, n0) and _canonical_from(*last, n0), (c, a, b, c0)
+            assert first[1] * last[1] > 0, (c, a, b, c0)
+
+
+def test_simple_h3_and_reordering_digest_for_n_up_to_300() -> None:
+    # sha256 over the serialized array and the repr of its column order, n = 3..300.
+    digest = hashlib.sha256()
+    for n in range(3, 301):
+        digest.update(serialize_array(simple_h3(n)).encode())
+        digest.update(repr(standard_reordering(n)).encode())
+    assert digest.hexdigest() == "c0bbcabfa50149bd095267d932a61538fafe9b23259a8cb8c08e2e039e43e182"
 
 
 def test_repeated_blocks_alternate_signs() -> None:

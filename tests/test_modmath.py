@@ -70,6 +70,26 @@ def test_partial_sums_requires_nonempty_canonical_input() -> None:
         partial_sums((1, -1), 30)  # even modulus
 
 
+def test_modmath_rejects_values_whose_type_is_not_int() -> None:
+    # A float, or a bool, is neither a residue nor a modulus, even when it
+    # compares equal to one.
+    with pytest.raises(ModulusMismatchError, match=r"^1\.5 is not an integer residue mod 7$"):
+        canon(1.5, 7)
+    with pytest.raises(ModulusMismatchError, match=r"^True is not an integer residue mod 7$"):
+        canon(True, 7)
+    with pytest.raises(ModulusMismatchError,
+                       match=r"^modulus must be an odd integer >= 3, got 7\.0$"):
+        canon(1, 7.0)
+    with pytest.raises(ModulusMismatchError,
+                       match=r"^True is not a canonical nonzero residue mod 7$"):
+        partial_sums([True, 2, -3], 7)
+    with pytest.raises(ModulusMismatchError, match=r"^2\.0 is not a canonical"):
+        is_simple([1, 2.0, -3], 7)
+    with pytest.raises(ModulusMismatchError,
+                       match=r"^modulus must be an odd integer >= 3, got True$"):
+        is_half_set([1], True)
+
+
 def test_is_simple_published_examples() -> None:
     assert is_simple(H38_REORDERED_ROW1, 49)
     # s_1 = s_6 = 36 in the original first row
