@@ -99,6 +99,8 @@ def parse_array(text: str) -> HeffterArray:
         rows.append(row)
 
     for extra_index, extra in enumerate(lines[1 + m :], start=m + 2):
+        if not extra.isascii():
+            raise ArrayFormatError("non-ASCII text; the format is ASCII-only", line=extra_index)
         if extra.strip() and not extra.lstrip().startswith("#"):
             raise ArrayFormatError("unexpected data after array rows", line=extra_index)
     return from_rows(rows)

@@ -116,15 +116,9 @@ def _cmd_develop(args: argparse.Namespace) -> int:
     v = H.modulus
     if args.expand:
         _check_expand(H.m * H.n * v)
-    if args.rows:
-        parts = [H.row(i) for i in range(H.m)]
-        source = "rows"
-    else:
-        parts = [H.column(j) for j in range(H.n)]
-        source = "cols"
-    system = develop_cycles(parts, v)
+    system = develop_cycles(H.cells if args.source == "rows" else tuple(zip(*H.cells)), v)
     doc = {
-        "source": source,
+        "source": args.source,
         "v": system.v,
         "k": system.k,
         "cycle_count": v * len(system.bases),
@@ -256,8 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("develop", help="develop the row or column cycle system mod v")
     p.add_argument("--file", required=True)
     direction = p.add_mutually_exclusive_group(required=True)
-    direction.add_argument("--rows", action="store_true")
-    direction.add_argument("--cols", action="store_true")
+    direction.add_argument("--rows", dest="source", action="store_const", const="rows")
+    direction.add_argument("--cols", dest="source", action="store_const", const="cols")
     p.add_argument("--expand", action="store_true", help="list every developed cycle")
     p.set_defaults(func=_cmd_develop)
 

@@ -38,11 +38,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Mapping, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .core import HeffterArray
 from .errors import (
     InconsistentRotationError,
+    InvalidEntryError,
     NotAnEmbeddingError,
     NotHeffterError,
     NotSimpleError,
@@ -87,11 +88,6 @@ class CycleSystem:
         """Length of every cycle."""
         return len(self.bases[0])
 
-    @property
-    def cycles(self) -> tuple[Walk, ...]:
-        """All v * len(bases) cycles, expanded."""
-        return tuple(self)
-
     def __iter__(self) -> Iterator[Walk]:
         v = self.v
         for base in self.bases:
@@ -99,7 +95,7 @@ class CycleSystem:
                 yield tuple((x + t) % v for x in base)
 
 
-def develop_cycles(parts: Sequence[Sequence[int]], v: int) -> CycleSystem:
+def develop_cycles(parts: Iterable[Iterable[int]], v: int) -> CycleSystem:
     """Develop a simply ordered Heffter system into a cyclic k-cycle system.
 
     The parts must partition a half-set of Z_v, share one length k, each sum
@@ -107,8 +103,12 @@ def develop_cycles(parts: Sequence[Sequence[int]], v: int) -> CycleSystem:
     (0, s_1, ..., s_{k-1}) per part; its v translates are all distinct.  A
     translate fixing a k-cycle has order dividing gcd(k, v) = 1, because the
     half-set count makes k divide (v-1)/2; and translates of different bases
-    differ, since their difference sets are disjoint.
+    differ, since their difference sets are disjoint.  Parts are read once.
     """
+    try:
+        parts = tuple(map(tuple, parts))
+    except TypeError:
+        raise InvalidEntryError("parts must be sequences of integers") from None
     if not parts:
         raise NotHeffterError("no parts given")
     lengths = {len(p) for p in parts}
@@ -120,9 +120,9 @@ def develop_cycles(parts: Sequence[Sequence[int]], v: int) -> CycleSystem:
     for part in parts:
         sums = _partial_sums(part, v)
         if sums[-1] != 0:
-            raise NotHeffterError(f"part {tuple(part)} does not sum to 0 mod {v}")
+            raise NotHeffterError(f"part {part} does not sum to 0 mod {v}")
         if len(set(sums)) != len(sums):
-            raise NotSimpleError(f"part {tuple(part)} has repeated partial sums mod {v}")
+            raise NotSimpleError(f"part {part} has repeated partial sums mod {v}")
         walks.append(_line_walk(sums, False, v))
     return CycleSystem(v, tuple(walks))
 
@@ -173,9 +173,6 @@ class FaceSet:
     @property
     def v(self) -> int:
         return self.rows.v
-
-    def faces(self) -> Iterator[Walk]:
-        return chain(self.rows, self.cols)
 
     @property
     def face_count(self) -> int:

@@ -5,9 +5,9 @@ A nonzero class of Z_v is stored as the unique integer in
 containing exactly one of {x, -x} for every pair.  Partial sums are reported
 as least nonnegative residues, so a zero-sum sequence always ends in 0.
 
-Validation contract: the public functions check that the modulus and every
-input are ints (bools excluded) and that every input is a canonical nonzero
-residue, computing the bound once per call.
+Validation contract: the public functions read their input once, from any
+iterable, and check that the modulus and every input are ints (bools
+excluded) and that every input is a canonical nonzero residue.
 The ``_``-prefixed kernels check nothing; they assume canonical input, as
 found in a validated :class:`~heffter.core.HeffterArray`, and are what the
 package's own hot paths call.
@@ -47,14 +47,17 @@ def canon(x: int, v: int) -> int:
     return r if r <= half_bound(v) else r - v
 
 
-def _require_canonical(seq: Iterable[int], v: int) -> None:
+def _canonical(seq: Iterable[int], v: int) -> list[int]:
     check_modulus(v)
+    try:
+        members = list(seq)
+    except TypeError:
+        raise ModulusMismatchError(f"{seq!r} is not an iterable of residues mod {v}") from None
     bound = half_bound(v)
-    for x in seq:
+    for x in members:
         if type(x) is not int or x == 0 or not -bound <= x <= bound:
-            raise ModulusMismatchError(
-                f"{x!r} is not a canonical nonzero residue mod {v}"
-            )
+            raise ModulusMismatchError(f"{x!r} is not a canonical nonzero residue mod {v}")
+    return members
 
 
 def is_half_set(elements: Iterable[int], v: int) -> bool:
@@ -63,32 +66,30 @@ def is_half_set(elements: Iterable[int], v: int) -> bool:
     Exactly (v-1)/2 residues, no repeats, and for each pair {x, -x} exactly
     one member present -- equivalently, all absolute values distinct.
     """
-    members = list(elements)
-    _require_canonical(members, v)
-    return _is_half_set(members, v)
+    return _is_half_set(_canonical(elements, v), v)
 
 
 def _is_half_set(members: Sequence[int], v: int) -> bool:
     return len(members) == half_bound(v) and len({abs(x) for x in members}) == len(members)
 
 
-def partial_sums(seq: Sequence[int], v: int) -> list[int]:
+def partial_sums(seq: Iterable[int], v: int) -> list[int]:
     """Running sums of seq as least nonnegative residues mod v.
 
     The last sum is 0 exactly when the sequence is a zero-sum part of a
     Heffter system.
     """
-    if not seq:
+    members = _canonical(seq, v)
+    if not members:
         raise OutOfRangeError("partial sums of an empty sequence are undefined")
-    _require_canonical(seq, v)
-    return _partial_sums(seq, v)
+    return _partial_sums(members, v)
 
 
 def _partial_sums(seq: Iterable[int], v: int) -> list[int]:
     return [s % v for s in accumulate(seq)]
 
 
-def is_simple(seq: Sequence[int], v: int) -> bool:
+def is_simple(seq: Iterable[int], v: int) -> bool:
     """True iff all partial sums of seq are distinct mod v."""
     sums = partial_sums(seq, v)
     return len(set(sums)) == len(sums)

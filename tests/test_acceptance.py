@@ -182,7 +182,7 @@ def test_criterion_6_cycle_systems() -> None:
                 assert is_translation_closed(system), n
                 # Independent pair count: every edge of K_v exactly once.
                 seen = set()
-                for cycle in system.cycles:
+                for cycle in system:
                     for idx, a in enumerate(cycle):
                         b = cycle[(idx + 1) % len(cycle)]
                         edge = (min(a, b), max(a, b))

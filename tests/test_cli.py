@@ -39,6 +39,18 @@ def test_parse_accepts_trailing_comments() -> None:
     assert parse_array(H35_FILE + "# published example\n\n").modulus == 31
 
 
+def test_parse_rejects_a_non_ascii_trailing_line() -> None:
+    with pytest.raises(ArrayFormatError, match=r"^non-ASCII text; the format is ASCII-only \(line 6\)$"):
+        parse_array(H35_FILE + "# published example\n# caf\xe9\n")
+
+
+def test_cli_keeps_its_byte_check_for_a_non_ascii_trailing_line(tmp_path: Path) -> None:
+    path = tmp_path / "h35.txt"
+    path.write_bytes((H35_FILE + "# caf\xe9\n").encode("utf-8"))
+    code, out, err = _run(["verify", "--file", str(path)])
+    assert (code, out, err) == (2, "", "error: non-ASCII byte 0xc3 (line 5, column 6)\n")
+
+
 def test_parse_rejects_malformed_inputs() -> None:
     cases = {
         "": "empty",

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,6 +23,7 @@ from heffter.errors import (
     BudgetExceededError,
     HeffterError,
     InconsistentRotationError,
+    InvalidEntryError,
     ModulusMismatchError,
     NoCompatibleConstructionError,
     NotAnEmbeddingError,
@@ -56,8 +57,8 @@ def test_develop_columns_of_h33_gives_cyclic_sts19() -> None:
     H = simple_h3(3)
     system = develop_cycles([H.column(j) for j in range(3)], 19)
     assert system.k == 3
-    assert len(system.cycles) == 57  # 3 base triangles x 19 translates
-    assert _pairs_covered_once(system.cycles, 19)
+    assert len(tuple(system)) == 57  # 3 base triangles x 19 translates
+    assert _pairs_covered_once(system, 19)
     assert exact_pair_coverage(system)
     assert is_translation_closed(system)
 
@@ -66,15 +67,16 @@ def test_develop_rows_of_simple_h35_gives_pentagon_system() -> None:
     H = simple_h3(5)
     system = develop_cycles([H.row(i) for i in range(3)], 31)
     assert system.k == 5
-    assert len(system.cycles) == 93  # covering C(31,2) = 465 pairs
-    assert _pairs_covered_once(system.cycles, 31)
+    assert len(tuple(system)) == 93  # covering C(31,2) = 465 pairs
+    assert _pairs_covered_once(system, 31)
 
 
 def test_develop_single_half_set_part_mod7() -> None:
     system = develop_cycles([(1, 2, -3)], 7)
-    assert system.cycles[0] == (0, 1, 3)
-    assert len(system.cycles) == 7
-    assert _pairs_covered_once(system.cycles, 7)
+    cycles = tuple(system)
+    assert cycles[0] == (0, 1, 3)
+    assert len(cycles) == 7
+    assert _pairs_covered_once(cycles, 7)
 
 
 def test_develop_rejects_non_simple_part() -> None:
@@ -110,10 +112,25 @@ def test_develop_rejects_non_int_entries_and_modulus() -> None:
         develop_cycles([[1, 2, -3]], 7.0)
 
 
+def test_develop_reads_each_part_once() -> None:
+    H = simple_h3(5)
+    expected = develop_cycles(list(H.cells), 31)
+    assert develop_cycles((r for r in H.cells), 31) == expected
+    assert develop_cycles([iter(r) for r in H.cells], 31) == expected
+    with pytest.raises(NotHeffterError, match=r"^part \(1, 2, 3\) does not sum to 0 mod 7$"):
+        develop_cycles([iter([1, 2, 3])], 7)
+
+
+@pytest.mark.parametrize("parts", (5, [5], [(1, 2, -3), None]))
+def test_develop_rejects_parts_that_cannot_be_iterated(parts) -> None:
+    with pytest.raises(InvalidEntryError, match=r"^parts must be sequences of integers$"):
+        develop_cycles(parts, 7)
+
+
 def test_face_set_counts_for_n3() -> None:
     H = simple_h3(3)
     face_set = build_face_set(H)
-    faces = list(face_set.faces())
+    faces = list(chain(face_set.rows, face_set.cols))
     assert len(faces) == 114  # 19*3 of each color; 342 arcs = 2 * C(19,2)
     assert sum(len(w) for w in faces) == 342
 
@@ -230,7 +247,7 @@ def test_exact_pair_coverage_detects_damage() -> None:
     # lie on no cycle, though the translates list 11 * 5 = C(11, 2) "edges".
     looped = CycleSystem(v=11, bases=((0, 0, 1, 3, 6),))
     assert not exact_pair_coverage(looped)
-    assert not _pairs_covered_once(looped.cycles, 11)
+    assert not _pairs_covered_once(looped, 11)
 
 
 @pytest.mark.parametrize("m, n, seed", ((5, 4, None), (7, 5, 0), (4, 4, None)))
@@ -320,7 +337,7 @@ def test_develop_keeps_one_base_walk_per_part() -> None:
     parts = [H.row(i) for i in range(H.m)]
     system = develop_cycles(parts, H.modulus)
     assert system.bases == tuple((0, *partial_sums(p, H.modulus)[:-1]) for p in parts)
-    assert system.cycles == tuple(
+    assert tuple(system) == tuple(
         tuple((x + t) % H.modulus for x in base) for base in system.bases for t in range(H.modulus)
     )
 
@@ -430,4 +447,4 @@ def test_quotient_checks_match_exhaustive_oracle(face_set: FaceSet) -> None:
     else:
         assert rotations == oracle
     for system in (face_set.rows, face_set.cols):
-        assert exact_pair_coverage(system) == _pairs_covered_once(system.cycles, v)
+        assert exact_pair_coverage(system) == _pairs_covered_once(system, v)

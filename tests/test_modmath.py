@@ -140,3 +140,30 @@ def test_invariances_need_the_zero_sum_hypothesis() -> None:
     # (3, -3, 5) mod 31 is simple but its reversal repeats a partial sum.
     assert is_simple((3, -3, 5), 31)
     assert not is_simple((5, -3, 3), 31)
+
+
+def test_public_functions_read_a_one_shot_iterator_once() -> None:
+    assert partial_sums(iter([1, 2, -3]), 7) == [1, 3, 0]
+    assert not is_simple(iter([1, -1, 1]), 7)  # partial sums 1, 0, 1
+    assert is_simple((x for x in (1, 2, -3)), 7)
+    assert is_half_set(iter([1, 2, -3]), 7)
+    assert not is_half_set(iter([1, -1, 2]), 7)
+
+
+@pytest.mark.parametrize("fn", (is_half_set, partial_sums, is_simple))
+def test_input_that_cannot_be_iterated_is_a_modulus_mismatch(fn) -> None:
+    with pytest.raises(ModulusMismatchError, match=r"^5 is not an iterable of residues mod 7$"):
+        fn(5, 7)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # the type and message are the outcome
+        return type(exc), str(exc)
+
+
+@given(st.lists(st.integers(-8, 8), max_size=6), st.sampled_from([7, 8, 13]))
+def test_an_iterator_gives_the_outcome_of_its_list(seq: list[int], v: int) -> None:
+    for fn in (is_half_set, partial_sums, is_simple):
+        assert _outcome(fn, iter(seq), v) == _outcome(fn, seq, v) == _outcome(fn, tuple(seq), v)
