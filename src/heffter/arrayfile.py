@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 
-from .core import MIN_DIMENSION, HeffterArray, from_rows
+from .core import MIN_DIMENSION, HeffterArray
 from .errors import ArrayFormatError
 from .modmath import half_bound
 
@@ -103,7 +103,7 @@ def parse_array(text: str) -> HeffterArray:
             raise ArrayFormatError("non-ASCII text; the format is ASCII-only", line=extra_index)
         if extra.strip() and not extra.lstrip().startswith("#"):
             raise ArrayFormatError("unexpected data after array rows", line=extra_index)
-    return from_rows(rows)
+    return HeffterArray(rows)
 
 
 def serialize_array(H: HeffterArray) -> str:

@@ -285,12 +285,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
+    except (OSError, HeffterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except HeffterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, ValueError) else 1  # bad input, or a failed check
+        return 2 if isinstance(exc, (OSError, ValueError)) else 1  # bad input, or a failed check
 
 
 if __name__ == "__main__":

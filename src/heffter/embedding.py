@@ -44,13 +44,14 @@ from .core import HeffterArray
 from .errors import (
     InconsistentRotationError,
     InvalidEntryError,
+    ModulusMismatchError,
     NotAnEmbeddingError,
     NotHeffterError,
     NotSimpleError,
     OutOfRangeError,
     PinchPointError,
 )
-from .modmath import _partial_sums, is_half_set
+from .modmath import _partial_sums, check_modulus, is_half_set
 from .orderings import _checked_lines
 
 Walk = tuple[int, ...]
@@ -77,11 +78,14 @@ class CycleSystem:
     """Base walks on Z_v; the cycles are their v translates x -> x + t.
 
     Iterating the system yields the translates of each base walk in order,
-    base by base, without storing them.
+    base by base, without storing them.  v must be an odd int >= 3.
     """
 
     v: int
     bases: tuple[Walk, ...]
+
+    def __post_init__(self) -> None:
+        check_modulus(self.v)
 
     @property
     def k(self) -> int:
@@ -164,11 +168,15 @@ class FaceSet:
     """The two face colors of the embedding: row faces and column faces.
 
     Row faces (length n) are one color, column faces (length m) the other;
-    each color is the cycle system of its base faces.
+    each color is the cycle system of its base faces, both mod one v.
     """
 
     rows: CycleSystem
     cols: CycleSystem
+
+    def __post_init__(self) -> None:
+        if self.rows.v != self.cols.v:
+            raise ModulusMismatchError(f"row faces mod {self.rows.v}, column faces mod {self.cols.v}")
 
     @property
     def v(self) -> int:
@@ -302,7 +310,7 @@ def certify(F: FaceSet) -> EmbeddingCertificate:
 
     Reads every step check off one step count per color (module docstring):
     a zero step is a degenerate arc, rows[d] + cols[d] faces lie on arc (0, d),
-    and each table's pair condition is the one-face-per-color flag.  Then the
+    and the row table's pair condition is the one-face-per-color flag.  Then the
     rotations are checked on the base corners and Euler's formula gives the
     genus, compared with the closed form for 3 x n inputs.  Raises the
     oracle's exceptions in the oracle's order, with witnesses at vertex 0.
@@ -318,4 +326,5 @@ def certify(F: FaceSet) -> EmbeddingCertificate:
                 f"arc (0,{d}) lies on {rows[d] + cols[d]} faces, expected exactly 1"
             )
     derive_rotations(F)  # raises on pinch points / inconsistencies
-    return _certificate(F, _pairs_once(rows) and _pairs_once(cols))
+    # cols[d] + cols[-d] = 2 - rows[d] - rows[-d] once arcs are exact: the colors pass together.
+    return _certificate(F, _pairs_once(rows))

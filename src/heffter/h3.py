@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterable
 
-from .core import HeffterArray, from_rows, reorder_columns
+from .core import HeffterArray, reorder_columns
 from .errors import OutOfRangeError, UnsupportedError
 
 Lin = tuple[int, int]  # (a, b) -> a*m + b
@@ -558,10 +558,11 @@ def _residue_class(n: int) -> tuple[_Case, int]:
 
     m = n // 8 - (n % 8 < 5) is (n - f) // 8 for the smallest n >= 5 of the
     class, f = n % 8 for classes 5..7 and n % 8 + 8 for classes 0..4, so
-    m >= 0 for every n >= 5.  n = 3, 4 (m = -1) are the callers' own cases.
+    m >= 0 for every n >= 5.  n = 3, 4 (m = -1) are the callers' own cases,
+    taken after this call: 3.0 == 3, but only an int n is a size.
     """
-    if n < 3:
-        raise OutOfRangeError(f"no 3 x n Heffter array for n={n} < 3")
+    if type(n) is not int or n < 3:
+        raise OutOfRangeError(f"no 3 x n Heffter array for n={n!r} < 3")
     return _CASES[n % 8], n // 8 - (n % 8 < 5)
 
 
@@ -572,17 +573,17 @@ def _expand_group(group: Group, n: int) -> list[int]:
 
 def construct_raw_h3(n: int) -> HeffterArray:
     """The published (unreordered) 3 x n Heffter array over Z_{6n+1}."""
-    if n == 3:
-        return from_rows(H33)
-    if n == 4:
-        return from_rows(H34)
     case, m = _residue_class(n)
+    if n == 3:
+        return HeffterArray(H33)
+    if n == 4:
+        return HeffterArray(H34)
     rows = [[_lin(e, m) for e in lead] for lead in case.lead]
     for r in range((n - len(case.lead[0])) // 4):  # the 3 x 4 blocks A_r fill the rest
         sign = -1 if r % 2 else 1
         for row, block in zip(rows, case.repeat):
             row.extend(sign * (a * m + b * r + c) for a, b, c in block)
-    return from_rows(rows)  # unreduced: from_rows raises on a cell outside [-3n, 3n] \ {0}
+    return HeffterArray(rows)  # unreduced: HeffterArray raises on a cell outside [-3n, 3n] \ {0}
 
 
 def standard_reordering(n: int) -> tuple[int, ...]:
@@ -592,11 +593,11 @@ def standard_reordering(n: int) -> tuple[int, ...]:
     published permutation for n = 8; otherwise the residue class's step-4
     progression groups, with empty progressions dropped.
     """
+    case, _ = _residue_class(n)
     if n in (3, 4):
         return tuple(range(1, n + 1))
     if n == 8:
         return R8
-    case, _ = _residue_class(n)
     return tuple(chain.from_iterable(_expand_group(group, n) for group in case.groups))
 
 
@@ -616,11 +617,11 @@ def _instantiate(atoms: Iterable[Atom], m: int, v: int) -> frozenset[int]:
 
 def _row_table(n: int, row: int, atoms: Callable[[_Case], Iterable[Atom]]) -> frozenset[int]:
     """Row 1..3's partial-sum table at n from its class's atoms; n = 8 is the printed literal."""
-    if row not in (1, 2, 3):
-        raise OutOfRangeError(f"row must be 1..3, got {row}")
+    if type(row) is not int or row not in (1, 2, 3):
+        raise OutOfRangeError(f"row must be 1..3, got {row!r}")
+    case, m = _residue_class(n)
     if n == 8:
         return SUMS8[row - 1]
-    case, m = _residue_class(n)
     if n < 9:
         raise UnsupportedError(f"no partial-sum tables cover n={n}")
     return _instantiate(atoms(case), m, 6 * n + 1)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import chain, count, permutations
 from typing import Iterator, Sequence
 
-from .core import MIN_DIMENSION, HeffterArray, from_rows, reorder_columns, verify_heffter
+from .core import MIN_DIMENSION, HeffterArray, reorder_columns, verify_heffter
 from .errors import BudgetExceededError, NotHeffterError, OutOfRangeError, TooLargeError
 from .modmath import half_bound
 
@@ -121,8 +121,8 @@ def _search_exhaustive(H: HeffterArray, budget: int) -> tuple[tuple[int, ...] | 
 
 
 def _check_budget(node_budget: int) -> None:
-    if node_budget <= 0:
-        raise OutOfRangeError(f"node_budget must be positive, got {node_budget}")
+    if type(node_budget) is not int or node_budget <= 0:
+        raise OutOfRangeError(f"node_budget must be positive, got {node_budget!r}")
 
 
 def find_simple_column_permutation(
@@ -133,13 +133,13 @@ def find_simple_column_permutation(
     ``strategy`` selects pruned backtracking or plain exhaustive enumeration;
     both are complete, explore columns in ascending order and return the
     lexicographically least valid permutation, so the search is deterministic.
-    An unknown strategy, then a budget below 1, raises OutOfRangeError before
-    H is read.  Raises NotHeffterError when H is not a Heffter array, naming
-    the first row, else the first column, that does not sum to 0, else the
-    half-set.  The returned permutation is re-verified through
-    ``verify_heffter`` (soundness is checked, never trusted); ``permutation``
-    is None when the full space was exhausted without a solution.  Raises
-    BudgetExceededError when ``node_budget`` nodes are spent first.
+    An unknown strategy, then a budget that is not an int >= 1, raises
+    OutOfRangeError before H is read.  Raises NotHeffterError when H is not
+    a Heffter array, naming the first row, else the first column, that does
+    not sum to 0, else the half-set.  The returned permutation is re-verified
+    through ``verify_heffter`` (soundness is checked, never trusted);
+    ``permutation`` is None when the full space was exhausted without a
+    solution.  Raises BudgetExceededError when ``node_budget`` nodes are spent first.
     """
     if strategy not in STRATEGIES:
         raise OutOfRangeError(f"unknown strategy {strategy!r}")
@@ -221,7 +221,7 @@ def _generate_attempt(
     a free cell, at most the one value closing the line at a forced cell.
     Nodes are counted at free cells only.  A cell with nothing left to try
     hands control back to the cell before it, which takes its own value back
-    off ``grid`` and tries its next one.  Returns the solved grid, or None
+    off the sums and ``used`` and tries its next one.  Returns the solved grid, or None
     when ``budget`` nodes are spent or the space is searched to its end.
     """
     v = 2 * m * n + 1
@@ -244,8 +244,7 @@ def _generate_attempt(
                 r = -(col_sums[j] if i == m - 1 else row_sums[i]) % v
                 tries.append(iter((r if r <= bound else r - v,) if r else ()))
         else:  # back from step + 1: undo this cell
-            x = grid[i][j]
-            grid[i][j] = 0
+            x = grid[i][j]  # only this undo reads the cell before it is written again
             used[abs(x)] = False
             row_sums[i] -= x
             col_sums[j] -= x
@@ -284,11 +283,11 @@ def generate_heffter(
     ``seed`` set the list is that seed with all ``node_budget`` nodes.
     Otherwise it is None, then seeds 0, 1, 2, ..., each with a slice of
     max(20,000, node_budget // 25) nodes, the last one with what is left.
-    Both modes are fully deterministic for fixed arguments.  A budget below 1
-    raises OutOfRangeError before the dimensions are checked.  Raises
-    BudgetExceededError when every rung has spent its budget, and before it
-    allocates anything when no rung can fill the (m-1)(n-1) free cells,
-    since each placement there is one node.
+    Both modes are fully deterministic for fixed arguments.  A budget that is
+    not an int >= 1, then a size that is not an int >= 3, raises
+    OutOfRangeError.  Raises BudgetExceededError when every rung has spent
+    its budget, and before it allocates anything when no rung can fill the
+    (m-1)(n-1) free cells, since each placement there is one node.
 
     No other outcome is possible, because an H(m,n) exists for every
     m, n >= 3 (Archdeacon, Boothby & Dinitz, J. Combin. Des. 25 (2017)) and
@@ -301,8 +300,8 @@ def generate_heffter(
     explicitly, and row m-1 sums to 0 since row and column sums share a total.
     """
     _check_budget(node_budget)
-    if m < MIN_DIMENSION or n < MIN_DIMENSION:
-        raise OutOfRangeError(f"Heffter arrays need m, n >= {MIN_DIMENSION}, got {m} x {n}")
+    if type(m) is not int or type(n) is not int or min(m, n) < MIN_DIMENSION:
+        raise OutOfRangeError(f"Heffter arrays need m, n >= {MIN_DIMENSION}, got {m!r} x {n!r}")
     per = max(20_000, node_budget // 25)
     rungs = [(seed, node_budget)] if seed is not None else [
         (rung_seed, min(per, node_budget - start))
@@ -318,5 +317,5 @@ def generate_heffter(
             random.Random(rung_seed).shuffle(values)
         grid = _generate_attempt(m, n, values, b)
         if grid is not None:
-            return from_rows(grid)
+            return HeffterArray(grid)
     raise BudgetExceededError(exceeded)

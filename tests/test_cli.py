@@ -19,7 +19,8 @@ from heffter.core import HeffterArray, from_rows
 from heffter.errors import ArrayFormatError
 from heffter.h3 import construct_raw_h3, simple_h3
 from heffter.modmath import partial_sums
-from heffter.search import generate_heffter
+from heffter.search import find_simple_column_permutation, generate_heffter
+from test_search import UNFIXABLE
 
 H35_FILE = """heffter 3 5 31
 6 7 -10 -4 1
@@ -58,6 +59,7 @@ def test_parse_rejects_malformed_inputs() -> None:
         "heffter 3 5 32\n": "modulus",
         "steiner 3 5 31\n": "header",
         "heffter 2 5 21\n": "m, n >=",
+        H35_FILE + "1 2 3 4 5\n": r"^unexpected data after array rows \(line 5\)$",
     }
     for text, hint in cases.items():
         with pytest.raises(ArrayFormatError, match=hint):
@@ -305,6 +307,16 @@ def test_cli_search_found_and_none(tmp_path: Path, capsys) -> None:
     assert main(["search", "--file", str(path), "--budget", "2"]) == 1
     doc = json.loads(capsys.readouterr().out)
     assert doc["status"] == "budget_exceeded"
+
+    grid = from_rows(UNFIXABLE)
+    path = tmp_path / "unfixable.txt"
+    path.write_text(serialize_array(grid), encoding="ascii")
+    for strategy in ("backtracking", "exhaustive"):
+        assert main(["search", "--file", str(path), "--strategy", strategy]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "none_exists"
+        assert doc["nodes"] == find_simple_column_permutation(grid, strategy=strategy).nodes
+    assert doc["nodes"] == 720  # exhaustive: every one of the 6! orders
 
 
 def test_cli_generate_emits_parseable_array(capsys) -> None:

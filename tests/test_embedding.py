@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from functools import lru_cache
 from itertools import accumulate, chain, combinations
 
@@ -288,6 +289,19 @@ def test_certify_rejects_incomplete_face_set() -> None:
     )
     with pytest.raises(NotAnEmbeddingError):
         certify(damaged)
+
+
+@pytest.mark.parametrize("v", (1, 0, -3, 8, "7", 7.0, True))
+def test_cycle_system_rejects_a_modulus_that_is_not_an_odd_int_from_3(v: object) -> None:
+    with pytest.raises(ModulusMismatchError,
+                       match=rf"^modulus must be an odd integer >= 3, got {re.escape(repr(v))}$"):
+        CycleSystem(v, ())
+
+
+def test_face_set_has_one_modulus() -> None:
+    triangles = ((0, 1, 3), (0, 3, 2))
+    with pytest.raises(ModulusMismatchError, match=r"^row faces mod 7, column faces mod 9$"):
+        FaceSet(CycleSystem(7, triangles), CycleSystem(9, triangles))
 
 
 def test_certify_accepts_a_face_set_with_an_empty_colour() -> None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 from itertools import chain
 
 import pytest
@@ -126,13 +127,16 @@ def test_residue_class_scale_starts_at_zero_and_steps_every_eight() -> None:
         assert _residue_class(_first_n(c) + 8 * 37) == (case, 37)
 
 
-@pytest.mark.parametrize("n", (2, -1))
-def test_every_entry_point_gives_one_message_below_3(n: int) -> None:
+# A size that is not an int is refused too; 3.0 == 3 and 8.0 == 8, so the
+# type is checked before the n = 3, 4, 8 cases.
+@pytest.mark.parametrize("n", (2, -1, 5.0, 3.0, 4.0, 8.0, 9.5, "5", None))
+def test_every_entry_point_gives_one_message_below_3(n: object) -> None:
     entry_points = (construct_raw_h3, standard_reordering, simple_h3,
                     lambda n: predicted_row_sums(n, 1), lambda n: corrected_row_sums(n, 1),
                     lambda n: table_errata(n, 1))
     for entry in entry_points:
-        with pytest.raises(OutOfRangeError, match=rf"^no 3 x n Heffter array for n={n} < 3$"):
+        with pytest.raises(OutOfRangeError,
+                           match=rf"^no 3 x n Heffter array for n={re.escape(repr(n))} < 3$"):
             entry(n)
 
 
@@ -206,10 +210,11 @@ def test_predicted_row_sums_unsupported_cases() -> None:
         predicted_row_sums(16, 4)
 
 
-@pytest.mark.parametrize("n, row", ((9, 7), (8, 0), (16, 4), (2, -1)))
-def test_every_table_function_rejects_a_row_outside_1_to_3(n: int, row: int) -> None:
+@pytest.mark.parametrize("n, row", ((9, 7), (8, 0), (16, 4), (2, -1),
+                                    (9, True), (9, 1.0), (8, 2.0), (9, "1"), (13, None)))
+def test_every_table_function_rejects_a_row_outside_1_to_3(n: int, row: object) -> None:
     for table in (predicted_row_sums, corrected_row_sums, table_errata):
-        with pytest.raises(OutOfRangeError, match=rf"^row must be 1\.\.3, got {row}$"):
+        with pytest.raises(OutOfRangeError, match=rf"^row must be 1\.\.3, got {re.escape(repr(row))}$"):
             table(n, row)
 
 

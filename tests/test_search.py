@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 import tracemalloc
 
 import pytest
@@ -33,6 +34,12 @@ def test_config_validation() -> None:
         find_simple_column_permutation(bad, node_budget=0)
     with pytest.raises(OutOfRangeError, match="^node_budget must be positive, got -1$"):
         generate_heffter(2, 2, node_budget=-1)
+    for budget in (1e6, 5.0, "5", None, True):  # only an int is a budget
+        message = rf"^node_budget must be positive, got {re.escape(repr(budget))}$"
+        with pytest.raises(OutOfRangeError, match=message):
+            find_simple_column_permutation(H, node_budget=budget)
+        with pytest.raises(OutOfRangeError, match=message):
+            generate_heffter(3, 3, node_budget=budget)
     # Each function takes only the knobs it reads, by keyword.
     with pytest.raises(TypeError):
         find_simple_column_permutation(H, seed=1)
@@ -180,6 +187,10 @@ def test_generate_rejects_small_dimensions() -> None:
         generate_heffter(2, 2)
     with pytest.raises(OutOfRangeError):
         generate_heffter(3, 2)
+    for m, n in ((3.0, 3), ("3", 3), (3, 4.0), (5, None)):  # only an int is a size
+        message = rf"^Heffter arrays need m, n >= 3, got {re.escape(repr(m))} x {re.escape(repr(n))}$"
+        with pytest.raises(OutOfRangeError, match=message):
+            generate_heffter(m, n)
 
 
 def test_generate_determinism() -> None:
