@@ -45,7 +45,9 @@ def _fields(line: str, lineno: int) -> list[str]:
 
 
 def parse_array(text: str) -> HeffterArray:
-    """Parse an array file; reject malformed or non-half-set data."""
+    """Parse an array file; reject malformed or non-half-set data, and text that is not a str."""
+    if not isinstance(text, str):
+        raise ArrayFormatError(f"expected the file text as a str, got {type(text).__name__}")
     if not text:
         raise ArrayFormatError("empty file", line=1)
     lines = text.removesuffix("\n").split("\n")

@@ -194,26 +194,22 @@ def _cmd_search(args: argparse.Namespace) -> int:
         outcome = find_simple_column_permutation(H, strategy=args.strategy, node_budget=args.budget)
     except BudgetExceededError:
         doc.update({"status": "budget_exceeded", "node_budget": args.budget})
-        _print_json(doc)
-        return 1
-    if outcome.permutation is None:
+    else:
         doc.update({"status": "none_exists", "nodes": outcome.nodes})
-        _print_json(doc)
-        return 1
-    doc.update(
-        {
-            "status": "found",
-            "permutation": list(outcome.permutation),
-            "nodes": outcome.nodes,
-            # the search re-verifies its permutation and raises if it fails
-            "reordered_is_heffter": True,
-            "reordered_is_simple": True,
-        }
-    )
-    if args.all:
-        doc["all_permutations"] = [list(p) for p in brute_force_oracle(H)]
+        if outcome.permutation is not None:
+            doc.update(
+                {
+                    "status": "found",
+                    "permutation": list(outcome.permutation),
+                    # the search proves its rows simple and checks the columns it cannot move
+                    "reordered_is_heffter": True,
+                    "reordered_is_simple": True,
+                }
+            )
+            if args.all:
+                doc["all_permutations"] = [list(p) for p in brute_force_oracle(H)]
     _print_json(doc)
-    return 0
+    return 0 if doc["status"] == "found" else 1
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:

@@ -72,12 +72,12 @@ class HeffterArray:
             yield from row
 
 
-def _grid(rows: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """The rows as a tuple of tuples; InvalidEntryError when they, or a row, cannot be iterated."""
+def _grid(rows: Sequence[Sequence[int]], what: str = "rows") -> tuple[tuple[int, ...], ...]:
+    """``rows`` as a tuple of tuples; InvalidEntryError naming ``what`` when one is not iterable."""
     try:
         return tuple(map(tuple, rows))
     except TypeError:
-        raise InvalidEntryError("rows must be sequences of integers") from None
+        raise InvalidEntryError(f"{what} must be sequences of integers") from None
 
 
 def from_rows(rows: Sequence[Sequence[int]]) -> HeffterArray:
@@ -87,13 +87,8 @@ def from_rows(rows: Sequence[Sequence[int]]) -> HeffterArray:
     cell raises InvalidEntryError instead of being truncated or parsed, and
     so do rows, or a row, that cannot be iterated.
     """
-    grid = _grid(rows)
-    try:
-        cells = tuple(tuple(map(index, row)) for row in grid)
-    except TypeError:  # convert what converts; HeffterArray names the first other cell
-        cells = tuple(tuple(index(x) if hasattr(type(x), "__index__") else x for x in row)
-                      for row in grid)
-    return HeffterArray(cells)
+    return HeffterArray(tuple(tuple(index(x) if hasattr(type(x), "__index__") else x for x in row)
+                              for row in _grid(rows)))
 
 
 @dataclass(frozen=True)
@@ -127,8 +122,11 @@ def verify_heffter(H: HeffterArray) -> VerificationReport:
     """Check every Heffter axiom of H and report each flag and partial sum.
 
     A line sums to 0 iff its last partial sum is 0, and is simple iff its
-    partial sums are distinct, so each line is summed exactly once.
+    partial sums are distinct, so each line is summed exactly once.  Raises
+    InvalidEntryError when H is not a HeffterArray.
     """
+    if not isinstance(H, HeffterArray):
+        raise InvalidEntryError(f"expected a HeffterArray, got {type(H).__name__}")
     v = H.modulus
     row_sums = tuple(tuple(_partial_sums(row, v)) for row in H.cells)
     col_sums = tuple(tuple(_partial_sums(col, v)) for col in zip(*H.cells))

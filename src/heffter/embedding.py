@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from .core import HeffterArray
+from .core import HeffterArray, _grid
 from .errors import (
     InconsistentRotationError,
     InvalidEntryError,
@@ -78,7 +78,8 @@ class CycleSystem:
     """Base walks on Z_v; the cycles are their v translates x -> x + t.
 
     Iterating the system yields the translates of each base walk in order,
-    base by base, without storing them.  v must be an odd int >= 3.
+    base by base, without storing them.  v must be an odd int >= 3, and the
+    bases sequences of ints, stored as a tuple of tuples.
     """
 
     v: int
@@ -86,6 +87,10 @@ class CycleSystem:
 
     def __post_init__(self) -> None:
         check_modulus(self.v)
+        bases = _grid(self.bases, "bases")
+        if any(type(x) is not int for x in chain.from_iterable(bases)):
+            raise InvalidEntryError("bases must be sequences of integers")
+        object.__setattr__(self, "bases", bases)
 
     @property
     def k(self) -> int:
@@ -313,8 +318,11 @@ def certify(F: FaceSet) -> EmbeddingCertificate:
     and the row table's pair condition is the one-face-per-color flag.  Then the
     rotations are checked on the base corners and Euler's formula gives the
     genus, compared with the closed form for 3 x n inputs.  Raises the
-    oracle's exceptions in the oracle's order, with witnesses at vertex 0.
+    oracle's exceptions in the oracle's order, with witnesses at vertex 0,
+    after an InvalidEntryError when F is not a FaceSet.
     """
+    if not isinstance(F, FaceSet):
+        raise InvalidEntryError(f"expected a FaceSet, got {type(F).__name__}")
     v = F.v
     rows = _step_counts(v, F.rows.bases)
     cols = _step_counts(v, F.cols.bases)

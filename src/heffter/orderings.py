@@ -77,14 +77,15 @@ def _checked_lines(H: HeffterArray) -> tuple[VerificationReport, int, int]:
     Raises NoCompatibleConstructionError when both dimensions are even, then,
     rows before columns, NotHeffterError for a part that does not sum to 0
     and NotSimpleError for one with a repeated partial sum on its forward line.
+    The InvalidEntryError of :func:`verify_heffter` for a non-array comes first.
     """
+    report = verify_heffter(H)
     m, n, v = H.m, H.n, H.modulus
     if m % 2 == 0 and n % 2 == 0:
         raise NoCompatibleConstructionError(
             f"both dimensions even ({m} x {n}): no compatible orderings exist, since "
             f"they compose to an even permutation and a cycle on all {m * n} cells is odd"
         )
-    report = verify_heffter(H)
     for what, sums_ok, simple in (
         ("row", report.row_sum_ok, report.row_simple),
         ("column", report.col_sum_ok, report.col_simple),

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import chain, count, permutations
 from typing import Iterator, Sequence
 
-from .core import MIN_DIMENSION, HeffterArray, reorder_columns, verify_heffter
+from .core import MIN_DIMENSION, HeffterArray, verify_heffter
 from .errors import BudgetExceededError, NotHeffterError, OutOfRangeError, TooLargeError
 from .modmath import half_bound
 
@@ -45,7 +45,7 @@ class SearchOutcome:
 
     ``permutation`` is None when the search space was exhausted without a
     solution (a nonexistence verdict, not an error).  A returned permutation
-    has passed re-verification, so the reordered array is a simple Heffter array.
+    makes a simple Heffter array: proved for the rows, checked for the columns.
     """
 
     permutation: tuple[int, ...] | None
@@ -59,10 +59,9 @@ def _search_backtracking(H: HeffterArray, budget: int) -> tuple[tuple[int, ...] 
     nodes = 0
     prefix: list[int] = []
     used = [False] * (n + 1)
-    sums = [0] * len(rows)
     seen: list[set[int]] = [set() for _ in rows]
 
-    def extend() -> tuple[int, ...] | None:
+    def extend(sums: list[int]) -> tuple[int, ...] | None:
         nonlocal nodes
         if len(prefix) == n:
             return tuple(prefix)
@@ -71,29 +70,24 @@ def _search_backtracking(H: HeffterArray, budget: int) -> tuple[tuple[int, ...] 
                 continue
             nodes += 1
             if nodes > budget:
-                raise BudgetExceededError(
-                    f"permutation search exceeded {budget} nodes"
-                )
+                raise BudgetExceededError(f"permutation search exceeded {budget} nodes")
             new = [(s + row[col - 1]) % v for s, row in zip(sums, rows)]
             if any(x in seen_i for x, seen_i in zip(new, seen)):
                 continue  # a repeated partial sum can never be repaired
-            old = sums[:]
-            for i, x in enumerate(new):
-                sums[i] = x
-                seen[i].add(x)
+            for x, seen_i in zip(new, seen):
+                seen_i.add(x)
             used[col] = True
             prefix.append(col)
-            found = extend()
+            found = extend(new)
             if found is not None:
                 return found
             prefix.pop()
             used[col] = False
-            for i, x in enumerate(new):
-                sums[i] = old[i]
-                seen[i].remove(x)
+            for x, seen_i in zip(new, seen):
+                seen_i.remove(x)
         return None
 
-    return extend(), nodes
+    return extend([0] * len(rows)), nodes
 
 
 def _rows_simple(rows: Sequence[Sequence[int]], order: Sequence[int], v: int) -> bool:
@@ -110,14 +104,12 @@ def _rows_simple(rows: Sequence[Sequence[int]], order: Sequence[int], v: int) ->
 
 def _search_exhaustive(H: HeffterArray, budget: int) -> tuple[tuple[int, ...] | None, int]:
     v = H.modulus
-    nodes = 0
-    for perm in permutations(range(1, H.n + 1)):
-        nodes += 1
+    for nodes, perm in enumerate(permutations(range(1, H.n + 1)), 1):
         if nodes > budget:
             raise BudgetExceededError(f"exhaustive search exceeded {budget} permutations")
         if _rows_simple(H.cells, perm, v):
             return perm, nodes
-    return None, nodes
+    return None, nodes  # n >= 3, so the loop ran and bound nodes
 
 
 def _check_budget(node_budget: int) -> None:
@@ -136,8 +128,8 @@ def find_simple_column_permutation(
     An unknown strategy, then a budget that is not an int >= 1, raises
     OutOfRangeError before H is read.  Raises NotHeffterError when H is not
     a Heffter array, naming the first row, else the first column, that does
-    not sum to 0, else the half-set.  The returned permutation is re-verified
-    through ``verify_heffter`` (soundness is checked, never trusted);
+    not sum to 0, else the half-set.  A returned permutation makes the rows
+    simple by proof; the columns, which no column order changes, are checked;
     ``permutation`` is None when the full space was exhausted without a
     solution.  Raises BudgetExceededError when ``node_budget`` nodes are spent first.
     """
@@ -156,10 +148,11 @@ def find_simple_column_permutation(
         perm, nodes = _search_exhaustive(H, node_budget)
     else:
         perm, nodes = _search_backtracking(H, node_budget)
-    if perm is not None:
-        report = verify_heffter(reorder_columns(H, perm))
-        if not (report.is_heffter and report.is_simple):
-            raise AssertionError(f"search returned {perm} but re-verification failed")
+    # Only the columns can fail: the gate passed and a permutation keeps line sums and the
+    # half-set; column j of the result is column perm[j] of H, in order; backtracking adds each
+    # row's sums to ``seen`` without a repeat, exhaustive returns only orders passing _rows_simple.
+    if perm is not None and not all(report.col_simple):
+        raise AssertionError(f"search returned {perm} but re-verification failed")
     return SearchOutcome(permutation=perm, nodes=nodes)
 
 
@@ -284,8 +277,8 @@ def generate_heffter(
     Otherwise it is None, then seeds 0, 1, 2, ..., each with a slice of
     max(20,000, node_budget // 25) nodes, the last one with what is left.
     Both modes are fully deterministic for fixed arguments.  A budget that is
-    not an int >= 1, then a size that is not an int >= 3, raises
-    OutOfRangeError.  Raises BudgetExceededError when every rung has spent
+    not an int >= 1, then a size that is not an int >= 3, then a seed that is
+    neither an int nor None, raises OutOfRangeError.  Raises BudgetExceededError when every rung has spent
     its budget, and before it allocates anything when no rung can fill the
     (m-1)(n-1) free cells, since each placement there is one node.
 
@@ -302,6 +295,8 @@ def generate_heffter(
     _check_budget(node_budget)
     if type(m) is not int or type(n) is not int or min(m, n) < MIN_DIMENSION:
         raise OutOfRangeError(f"Heffter arrays need m, n >= {MIN_DIMENSION}, got {m!r} x {n!r}")
+    if seed is not None and type(seed) is not int:
+        raise OutOfRangeError(f"seed must be an int or None, got {seed!r}")
     per = max(20_000, node_budget // 25)
     rungs = [(seed, node_budget)] if seed is not None else [
         (rung_seed, min(per, node_budget - start))

@@ -52,6 +52,12 @@ def test_cli_keeps_its_byte_check_for_a_non_ascii_trailing_line(tmp_path: Path) 
     assert (code, out, err) == (2, "", "error: non-ASCII byte 0xc3 (line 5, column 6)\n")
 
 
+@pytest.mark.parametrize("text", (5, None, H35_FILE.encode("ascii")), ids=("int", "None", "bytes"))
+def test_parse_rejects_file_text_that_is_not_a_str(text: object) -> None:
+    with pytest.raises(ArrayFormatError, match=f"^expected the file text as a str, got {type(text).__name__}$"):
+        parse_array(text)
+
+
 def test_parse_rejects_malformed_inputs() -> None:
     cases = {
         "": "empty",

@@ -180,6 +180,12 @@ def test_reorder_preserves_heffter_axioms(perm: list[int]) -> None:
     assert report.is_heffter
 
 
+@pytest.mark.parametrize("H", ([[1]], None, "x", H35))
+def test_verify_heffter_rejects_an_argument_that_is_not_an_array(H: object) -> None:
+    with pytest.raises(InvalidEntryError, match=f"^expected a HeffterArray, got {type(H).__name__}$"):
+        verify_heffter(H)
+
+
 def test_cells_are_immutable() -> None:
     H = from_rows(H35)
     assert isinstance(H.cells, tuple)

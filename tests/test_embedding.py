@@ -298,6 +298,26 @@ def test_cycle_system_rejects_a_modulus_that_is_not_an_odd_int_from_3(v: object)
         CycleSystem(v, ())
 
 
+@pytest.mark.parametrize("bases", (5, None, (5,), ((0, "a", 2),), ((0, 1.0, 3),), ((0, True, 3),)))
+def test_cycle_system_rejects_bases_that_are_not_sequences_of_ints(bases: object) -> None:
+    with pytest.raises(InvalidEntryError, match="^bases must be sequences of integers$"):
+        CycleSystem(7, bases)
+
+
+def test_cycle_system_stores_its_bases_as_tuples() -> None:
+    system = CycleSystem(7, [[0, 1, 3], iter([0, 3, 2])])
+    assert system == CycleSystem(7, ((0, 1, 3), (0, 3, 2)))
+    assert len(list(system)) == 14
+
+
+def test_certify_and_build_face_set_reject_arguments_of_the_wrong_type() -> None:
+    for F in (None, simple_h3(3), CycleSystem(7, ())):
+        with pytest.raises(InvalidEntryError, match=f"^expected a FaceSet, got {type(F).__name__}$"):
+            certify(F)
+    with pytest.raises(InvalidEntryError, match="^expected a HeffterArray, got list$"):
+        build_face_set([[1, 2, 3]] * 3)
+
+
 def test_face_set_has_one_modulus() -> None:
     triangles = ((0, 1, 3), (0, 3, 2))
     with pytest.raises(ModulusMismatchError, match=r"^row faces mod 7, column faces mod 9$"):

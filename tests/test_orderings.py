@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from heffter.core import HeffterArray, from_rows, reorder_columns, transpose
 from heffter.errors import (
     HeffterError,
+    InvalidEntryError,
     NoCompatibleConstructionError,
     NotHeffterError,
     NotSimpleError,
@@ -17,6 +18,13 @@ from heffter.h3 import construct_raw_h3, simple_h3
 from heffter.orderings import compatible_orderings, compose
 from heffter.search import generate_heffter
 from oracles import check_ordering_parts, composition_orbit, ordering_parts
+
+
+def test_orderings_reject_an_argument_that_is_not_an_array() -> None:
+    # The array check runs before the parity check, so rows of even length fail on their type.
+    for H in ([[1]], ((1, 2), (3, 4)), None):
+        with pytest.raises(InvalidEntryError, match="^expected a HeffterArray, got "):
+            compatible_orderings(H)
 
 
 def test_published_trajectory_for_n5() -> None:
