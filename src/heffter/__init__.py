@@ -23,14 +23,7 @@ from .embedding import (
     genus_closed_form,
     is_translation_closed,
 )
-from .h3 import (
-    construct_raw_h3,
-    corrected_row_sums,
-    predicted_row_sums,
-    simple_h3,
-    standard_reordering,
-    table_errata,
-)
+from .h3 import construct_raw_h3, simple_h3, standard_reordering
 from .modmath import canon, is_half_set, is_simple, partial_sums
 from .orderings import CompatibleOrderingPair, compatible_orderings
 from .search import (
@@ -54,7 +47,6 @@ __all__ = [
     "certify",
     "compatible_orderings",
     "construct_raw_h3",
-    "corrected_row_sums",
     "derive_rotations",
     "develop_cycles",
     "exact_pair_coverage",
@@ -67,12 +59,10 @@ __all__ = [
     "is_translation_closed",
     "parse_array",
     "partial_sums",
-    "predicted_row_sums",
     "reorder_columns",
     "serialize_array",
     "simple_h3",
     "standard_reordering",
-    "table_errata",
     "transpose",
     "verify_heffter",
 ]

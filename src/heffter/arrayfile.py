@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 
-from .core import MIN_DIMENSION, HeffterArray
+from .core import MIN_DIMENSION, HeffterArray, _check_type
 from .errors import ArrayFormatError
 from .modmath import half_bound
 
@@ -110,6 +110,7 @@ def parse_array(text: str) -> HeffterArray:
 
 def serialize_array(H: HeffterArray) -> str:
     """Render an array in the file format; inverse of parse_array."""
+    _check_type(H, HeffterArray)
     out = [f"heffter {H.m} {H.n} {H.modulus}"]
     out.extend(" ".join(str(x) for x in row) for row in H.cells)
     return "\n".join(out) + "\n"

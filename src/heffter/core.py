@@ -80,6 +80,12 @@ def _grid(rows: Sequence[Sequence[int]], what: str = "rows") -> tuple[tuple[int,
         raise InvalidEntryError(f"{what} must be sequences of integers") from None
 
 
+def _check_type(value: object, cls: type) -> None:
+    """Raise InvalidEntryError unless ``value`` is a ``cls``, so a wrong type is a HeffterError."""
+    if not isinstance(value, cls):
+        raise InvalidEntryError(f"expected a {cls.__name__}, got {type(value).__name__}")
+
+
 def from_rows(rows: Sequence[Sequence[int]]) -> HeffterArray:
     """Build a HeffterArray from any nested integer sequences.
 
@@ -125,8 +131,7 @@ def verify_heffter(H: HeffterArray) -> VerificationReport:
     partial sums are distinct, so each line is summed exactly once.  Raises
     InvalidEntryError when H is not a HeffterArray.
     """
-    if not isinstance(H, HeffterArray):
-        raise InvalidEntryError(f"expected a HeffterArray, got {type(H).__name__}")
+    _check_type(H, HeffterArray)
     v = H.modulus
     row_sums = tuple(tuple(_partial_sums(row, v)) for row in H.cells)
     col_sums = tuple(tuple(_partial_sums(col, v)) for col in zip(*H.cells))
@@ -145,8 +150,10 @@ def reorder_columns(H: HeffterArray, order: Sequence[int]) -> HeffterArray:
     """Apply the column reordering (a_1, ..., a_n).
 
     Column a_j of H becomes column j of the result, so each row is reordered
-    by the same permutation while columns move as unbroken units.
+    by the same permutation while columns move as unbroken units.  Raises
+    InvalidEntryError when H is not a HeffterArray.
     """
+    _check_type(H, HeffterArray)
     try:
         perm = tuple(order)
     except TypeError:  # not iterable: reported as given
@@ -161,4 +168,5 @@ def reorder_columns(H: HeffterArray, order: Sequence[int]) -> HeffterArray:
 
 def transpose(H: HeffterArray) -> HeffterArray:
     """The n x m array with cells[j][i] = H.cells[i][j]; same modulus."""
+    _check_type(H, HeffterArray)
     return HeffterArray(tuple(zip(*H.cells)))

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
-from .core import HeffterArray, _grid
+from .core import HeffterArray, _check_type, _grid
 from .errors import (
     InconsistentRotationError,
     InvalidEntryError,
@@ -155,7 +155,11 @@ def _pairs_once(counts: Sequence[int]) -> bool:
 
 
 def exact_pair_coverage(system: CycleSystem) -> bool:
-    """True iff every pair of Z_v is an edge of exactly one cycle."""
+    """True iff every pair of Z_v is an edge of exactly one cycle.
+
+    Raises InvalidEntryError when ``system`` is not a CycleSystem.
+    """
+    _check_type(system, CycleSystem)
     return _pairs_once(_step_counts(system.v, system.bases))
 
 
@@ -180,6 +184,8 @@ class FaceSet:
     cols: CycleSystem
 
     def __post_init__(self) -> None:
+        _check_type(self.rows, CycleSystem)
+        _check_type(self.cols, CycleSystem)
         if self.rows.v != self.cols.v:
             raise ModulusMismatchError(f"row faces mod {self.rows.v}, column faces mod {self.cols.v}")
 
@@ -221,7 +227,9 @@ def derive_rotations(F: FaceSet) -> CycleSystem:
     single cycle (else every vertex is a pinch point and the complex is a
     pseudosurface, not a surface).  That cycle is the one base walk of the
     result, so its translate by u, the u-th cycle, is the rotation at u.
+    Raises InvalidEntryError when F is not a FaceSet.
     """
+    _check_type(F, FaceSet)
     v = F.v
     succ: dict[int, int] = {}
     for walk in chain(F.rows.bases, F.cols.bases):
@@ -321,8 +329,7 @@ def certify(F: FaceSet) -> EmbeddingCertificate:
     oracle's exceptions in the oracle's order, with witnesses at vertex 0,
     after an InvalidEntryError when F is not a FaceSet.
     """
-    if not isinstance(F, FaceSet):
-        raise InvalidEntryError(f"expected a FaceSet, got {type(F).__name__}")
+    _check_type(F, FaceSet)
     v = F.v
     rows = _step_counts(v, F.rows.bases)
     cols = _step_counts(v, F.cols.bases)

@@ -32,10 +32,6 @@ class OutOfRangeError(HeffterError, ValueError):
     """A size parameter is outside the supported range (e.g. n < 3)."""
 
 
-class UnsupportedError(HeffterError, ValueError):
-    """Requested data is not covered by the printed construction tables."""
-
-
 class NoCompatibleConstructionError(HeffterError):
     """No compatible orderings, because both dimensions are even.
 

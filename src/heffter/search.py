@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import chain, count, permutations
 from typing import Iterator, Sequence
 
-from .core import MIN_DIMENSION, HeffterArray, verify_heffter
+from .core import MIN_DIMENSION, HeffterArray, _check_type, verify_heffter
 from .errors import BudgetExceededError, NotHeffterError, OutOfRangeError, TooLargeError
 from .modmath import half_bound
 
@@ -157,7 +157,9 @@ def find_simple_column_permutation(
 
 
 def check_oracle_size(n: int) -> None:
-    """Raise TooLargeError when :func:`brute_force_oracle` cannot run on n columns."""
+    """Raise OutOfRangeError unless n is an int, TooLargeError when the oracle cannot run on n."""
+    if type(n) is not int:
+        raise OutOfRangeError(f"column count must be an int, got {n!r}")
     if n > ORACLE_MAX_COLUMNS:
         raise TooLargeError(f"oracle enumerates n! permutations; n={n} > {ORACLE_MAX_COLUMNS}")
 
@@ -166,8 +168,10 @@ def brute_force_oracle(H: HeffterArray) -> list[tuple[int, ...]]:
     """Every valid column permutation of H, in lexicographic order.
 
     Independent of the pruned search: enumerates all n! permutations and
-    checks each one's rows from scratch.  Restricted to n <= 9.
+    checks each one's rows from scratch.  Restricted to n <= 9.  Raises
+    InvalidEntryError when H is not a HeffterArray.
     """
+    _check_type(H, HeffterArray)
     check_oracle_size(H.n)
     v = H.modulus
     return [

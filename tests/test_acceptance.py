@@ -24,14 +24,7 @@ from heffter.embedding import (
     genus_closed_form,
     is_translation_closed,
 )
-from heffter.h3 import (
-    construct_raw_h3,
-    corrected_row_sums,
-    predicted_row_sums,
-    simple_h3,
-    standard_reordering,
-    table_errata,
-)
+from heffter.h3 import construct_raw_h3, simple_h3, standard_reordering
 from heffter.modmath import canon, is_half_set, is_simple, partial_sums
 from heffter.orderings import compatible_orderings
 from heffter.search import (
@@ -40,6 +33,7 @@ from heffter.search import (
     generate_heffter,
 )
 from oracles import composition_orbit, ordering_parts
+from paper_tables import corrected_row_sums, predicted_row_sums, table_errata
 
 H35 = ((6, 7, -10, -4, 1), (-9, 5, 2, -11, 13), (3, -12, 8, 15, -14))
 H38 = (

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import inspect
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import heffter
 from heffter.core import (
     HeffterArray,
     from_rows,
@@ -11,8 +14,9 @@ from heffter.core import (
     transpose,
     verify_heffter,
 )
-from heffter.errors import InvalidEntryError, InvalidPermutationError
+from heffter.errors import HeffterError, InvalidEntryError, InvalidPermutationError
 from heffter.h3 import H33, H34
+from heffter.search import check_oracle_size
 
 H35 = ((6, 7, -10, -4, 1), (-9, 5, 2, -11, 13), (3, -12, 8, 15, -14))
 H38 = (
@@ -191,3 +195,21 @@ def test_cells_are_immutable() -> None:
     assert isinstance(H.cells, tuple)
     with pytest.raises(TypeError):
         H.cells[0][0] = 3  # type: ignore[index]
+
+
+PUBLIC = {**{name: getattr(heffter, name) for name in heffter.__all__},
+          "check_oracle_size": check_oracle_size}
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC))
+def test_every_public_callable_fails_as_a_heffter_error(name: str) -> None:
+    # Each wrong-type first argument returns or raises a HeffterError, never a bare
+    # TypeError or AttributeError; every other required positional argument is 7.
+    fn = PUBLIC[name]
+    required = [p for p in inspect.signature(fn).parameters.values()
+                if p.default is p.empty and p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+    for first in (None, 5, "x", [[1]]):
+        try:
+            fn(first, *[7] * (len(required) - 1))
+        except HeffterError:
+            pass
