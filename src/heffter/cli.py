@@ -2,12 +2,15 @@
 
 Subcommands: gen3, verify, reorder, orderings, develop, embed, genus,
 search, generate.  Array output uses the plain-text array file format;
-reports are canonical JSON (sorted keys, 2-space indent) so they are
-deterministic and diffable.  Exit codes: 0 when every requested check
-passed, 1 when a verification or search failed, 2 for usage or input
-errors.  Every success path re-runs the relevant certifier or reports a
-flag its producer proves (each such constant names its proof); nothing is
-reported as passing without one or the other.
+reports are canonical JSON, byte-identical to ``json.dumps(doc, indent=2,
+sort_keys=True)``, so they are deterministic and diffable.  ``_encode``
+produces them without json's pure-Python encoder, which ``indent`` selects;
+``test_report_encoder_writes_the_bytes_of_json_dumps`` and the report
+tests beside it in tests/test_cli.py hold it to that.  Exit codes: 0 when
+every requested check passed, 1 when a verification or search failed, 2
+for usage or input errors.  Every success path re-runs the relevant
+certifier or reports a flag its producer proves (each such constant names
+its proof); nothing is reported as passing without one or the other.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from . import __version__
@@ -42,8 +46,51 @@ from .search import (
 EXPAND_LIMIT = 2_000_000  # most integers --expand may list: embed lists 2mnv, develop mnv
 
 
+_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
+
+
+def _encode(value: object, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, nested ``indent`` deep.
+
+    ``indent=2`` makes json use its pure-Python encoder.  Here a dict, or a
+    list holding a string, a dict, an empty list or leaves at unequal depths,
+    is laid out one level at a time.  Any other list is encoded by the C
+    encoder and re-indented with ``str.replace``: with no ``"`` in the text
+    every ``,`` and bracket is structural, and with every leaf at the same
+    depth each comma has as many ``]`` before it as ``[`` after it.
+    """
+    if not isinstance(value, (dict, list, tuple)):
+        return _compact(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(key)}: {_encode(value[key], inner)}" for key in sorted(value)]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    text = _compact(value)
+    depth = len(text) - len(text.lstrip("["))
+    if '"' in text or "{" in text or "[]" in text or any(
+        len({text.count("]" * a + ","), text.count("," + "[" * a), text.count("]" * a + "," + "[" * a)}) > 1
+        for a in range(1, depth + 1)
+    ):
+        items = [_encode(x, inner) for x in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    pad = [indent + "  " * level for level in range(depth + 1)]
+
+    def opened(a: int) -> str:  # the lists at levels depth - a + 1 .. depth open
+        return "".join("[\n" + pad[level] for level in range(depth - a + 1, depth + 1))
+
+    def closed(a: int) -> str:  # the lists at levels depth .. depth - a + 1 close
+        return "".join("\n" + pad[level - 1] + "]" for level in range(depth, depth - a, -1))
+
+    body = text[depth:-depth].replace(",", ",\n" + pad[depth])
+    for a in range(depth - 1, 0, -1):  # longest runs first: "],[" also occurs inside "]],[["
+        body = body.replace("]" * a + ",\n" + pad[depth] + "[" * a, closed(a) + ",\n" + pad[depth - a] + opened(a))
+    return opened(depth) + body + closed(depth)
+
+
 def _print_json(doc: dict) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(_encode(doc))
 
 
 def _array_meta(H: HeffterArray) -> dict:

@@ -303,7 +303,7 @@ def _certificate(F: FaceSet, bicolor: bool) -> EmbeddingCertificate:
     euler = v - edges + faces
     genus = (2 - euler) // 2
     matches: bool | None = None
-    if F.rows.bases and F.cols.bases and F.cols.k == 3:
+    if F.rows.bases and F.cols.bases and F.cols.k == 3 and v == 6 * F.rows.k + 1:  # a 3 x n face set
         matches = genus == genus_closed_form(F.rows.k)
     return EmbeddingCertificate(
         num_row_faces=v * len(F.rows.bases),

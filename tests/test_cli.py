@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from heffter import cli
 from heffter.arrayfile import parse_array, serialize_array
 from heffter.cli import main
 from heffter.core import HeffterArray, from_rows
@@ -637,3 +638,69 @@ def test_cli_develop_lists_one_base_walk_per_part(tmp_path: Path) -> None:
         assert code == 0
         expected = [[0, *partial_sums(part, H.modulus)[:-1]] for part in parts]
         assert json.loads(out)["base_cycles"] == expected
+
+
+@pytest.fixture
+def checked_reports(monkeypatch: pytest.MonkeyPatch) -> list[dict]:
+    """Every report the CLI prints while the test runs, each checked on the way out.
+
+    The bytes ``_print_json`` writes must be those of ``json.dumps(doc,
+    indent=2, sort_keys=True)`` and a newline.
+    """
+    docs: list[dict] = []
+    print_json = cli._print_json
+
+    def checked(doc: dict) -> None:
+        out = io.StringIO()
+        with redirect_stdout(out):
+            print_json(doc)
+        assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        docs.append(doc)
+        sys.stdout.write(out.getvalue())
+
+    monkeypatch.setattr(cli, "_print_json", checked)
+    return docs
+
+
+def test_cli_golden_corpus_reports_are_json_dumps_bytes(tmp_path: Path, checked_reports: list[dict]) -> None:
+    _golden_corpus(tmp_path)
+    assert len(checked_reports) == 20  # the corpus commands that print a report
+
+
+def test_cli_reports_are_json_dumps_bytes_at_every_size(tmp_path: Path, checked_reports: list[dict]) -> None:
+    arrays = [simple_h3(n) for n in (3, 4, 8, 100, 1000)] + [generate_heffter(5, 5, seed=1)]
+    for H in arrays:
+        path = tmp_path / f"{H.m}x{H.n}.txt"
+        path.write_text(serialize_array(H), encoding="ascii")
+        expand = ["--expand"] if 2 * H.m * H.n * H.modulus <= cli.EXPAND_LIMIT else []  # embed lists 2mnv integers
+        for argv in (["verify"], ["orderings"], ["embed"], ["embed", *expand], ["develop", "--rows", *expand],
+                     ["develop", "--cols", *expand]):
+            assert _run([*argv, "--file", str(path)])[::2] == (0, "")
+    assert len(checked_reports) == 6 * len(arrays)
+
+
+_json_text = st.text(st.sampled_from(',[]{}":\\ \n\taé\u2028\U0001f600'), max_size=6) | st.text(max_size=3)
+_json_ints = st.integers(-(2**70), 2**70) | st.booleans() | st.none()
+
+
+def _leaves_at_depth(depth: int) -> st.SearchStrategy[object]:
+    """Non-empty lists nested ``depth`` deep around ints, bools and None: the re-indented case."""
+    lists = _json_ints
+    for _ in range(depth):
+        lists = st.lists(lists, min_size=1, max_size=3)
+    return lists
+
+
+_json_values = st.recursive(
+    _json_text | _json_ints | st.lists(_json_ints, max_size=4) | st.integers(1, 5).flatmap(_leaves_at_depth),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_json_text, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_values)
+def test_report_encoder_writes_the_bytes_of_json_dumps(value: object) -> None:
+    assert cli._encode(value) == json.dumps(value, indent=2, sort_keys=True)

@@ -280,6 +280,17 @@ def test_five_row_biembedding_certifies() -> None:
     assert cert.genus == 206  # (2 - 41 + 820 - 369) / 2
 
 
+def test_triangle_biembedding_of_k31_is_not_held_to_the_3_x_n_formula() -> None:
+    # The faces of an H(5;3): both colours are triangles, as in a 3 x n face
+    # set, but v = 31 is not 6 * 3 + 1, so the closed form does not apply.
+    rows = CycleSystem(31, ((0, 29, 4), (0, 14, 30), (0, 19, 10), (0, 8, 5), (0, 13, 20)))
+    cols = CycleSystem(31, ((0, 2, 26), (0, 20, 14), (0, 4, 19), (0, 30, 8), (0, 10, 13)))
+    face_set = FaceSet(rows, cols)
+    cert = certify(face_set)
+    assert (cert.genus, cert.genus_matches_formula, cert.all_ok) == (63, None, True)
+    assert cert == certify_exhaustive(face_set)
+
+
 def test_certify_rejects_incomplete_face_set() -> None:
     H = simple_h3(3)
     face_set = build_face_set(H)
