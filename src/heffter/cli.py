@@ -1,10 +1,14 @@
 """Command-line interface.
 
 Subcommands: gen3, verify, reorder, orderings, develop, embed, genus,
-search, generate.  Array output uses the plain-text array file format;
-reports are canonical JSON, byte-identical to ``json.dumps(doc, indent=2,
-sort_keys=True)``, so they are deterministic and diffable.  ``_encode``
-produces them without json's pure-Python encoder, which ``indent`` selects;
+search, generate.  Each ``_cmd_*`` handler returns its result and exit
+code: a report, an array, or the genus text.  ``main`` is the one reader of
+the array file (``--file``) and the one writer of stdout, so stdout holds a
+whole result or nothing, and an error is one ``error:`` line on stderr.
+Array output uses the plain-text array file format; reports are canonical
+JSON, byte-identical to ``json.dumps(doc, indent=2, sort_keys=True)``, so
+they are deterministic and diffable.  ``_encode`` produces them without
+json's pure-Python encoder, which ``indent`` selects;
 ``test_report_encoder_writes_the_bytes_of_json_dumps`` and the report
 tests beside it in tests/test_cli.py hold it to that.  Exit codes: 0 when
 every requested check passed, 1 when a verification or search failed, 2
@@ -22,7 +26,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from . import __version__
-from .arrayfile import parse_array, serialize_array
+from .arrayfile import _integer, parse_array, serialize_array
 from .core import HeffterArray, reorder_columns, verify_heffter
 from .embedding import build_face_set, certify, develop_cycles, genus_closed_form
 from .errors import (
@@ -45,6 +49,9 @@ from .search import (
 
 EXPAND_LIMIT = 2_000_000  # most integers --expand may list: embed lists 2mnv, develop mnv
 
+# A handler's report, array or genus text, and its exit code; main writes the first.
+Result = tuple[dict | HeffterArray | str, int]
+
 
 _compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 
@@ -52,19 +59,21 @@ _compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 def _encode(value: object, indent: str = "") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, nested ``indent`` deep.
 
-    ``indent=2`` makes json use its pure-Python encoder.  Here a dict, or a
-    list holding a string, a dict, an empty list or leaves at unequal depths,
-    is laid out one level at a time.  Any other list is encoded by the C
-    encoder and re-indented with ``str.replace``: with no ``"`` in the text
-    every ``,`` and bracket is structural, and with every leaf at the same
-    depth each comma has as many ``]`` before it as ``[`` after it.
+    ``indent=2`` makes json use its pure-Python encoder.  Here a dict is
+    laid out one key at a time, and a list of non-string leaves nested to
+    one depth is encoded by the C encoder and re-indented with
+    ``str.replace``: with no ``"`` in the text every ``,`` and bracket is
+    structural, and with every leaf at the same depth each comma has as many
+    ``]`` before it as ``[`` after it.  Any other list, which no report
+    holds, goes to ``json.dumps`` itself; json escapes a newline inside a
+    string, so each one it writes is structural and takes the nesting indent.
     """
     if not isinstance(value, (dict, list, tuple)):
         return _compact(value)
     if not value:
         return "{}" if isinstance(value, dict) else "[]"
-    inner = indent + "  "
     if isinstance(value, dict):
+        inner = indent + "  "
         items = [f"{encode_basestring_ascii(key)}: {_encode(value[key], inner)}" for key in sorted(value)]
         return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
     text = _compact(value)
@@ -73,8 +82,7 @@ def _encode(value: object, indent: str = "") -> str:
         len({text.count("]" * a + ","), text.count("," + "[" * a), text.count("]" * a + "," + "[" * a)}) > 1
         for a in range(1, depth + 1)
     ):
-        items = [_encode(x, inner) for x in value]
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
     pad = [indent + "  " * level for level in range(depth + 1)]
 
     def opened(a: int) -> str:  # the lists at levels depth - a + 1 .. depth open
@@ -118,32 +126,25 @@ def _check_expand(count: int) -> None:
         raise TooLargeError(f"--expand would list {count} integers, more than {EXPAND_LIMIT}")
 
 
-def _cmd_gen3(args: argparse.Namespace) -> int:
-    H = simple_h3(args.n)
-    sys.stdout.write(serialize_array(H))
-    return 0
+def _cmd_gen3(args: argparse.Namespace) -> Result:
+    return simple_h3(args.n), 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    H = _load_array(args.file)
+def _cmd_verify(args: argparse.Namespace, H: HeffterArray) -> Result:
     report = verify_heffter(H)
     flags = {"is_heffter": report.is_heffter, "is_simple": report.is_simple}
-    _print_json({"array": _array_meta(H), **vars(report), **flags})
-    return 0 if report.all_ok else 1
+    return {"array": _array_meta(H), **vars(report), **flags}, 0 if report.all_ok else 1
 
 
-def _cmd_reorder(args: argparse.Namespace) -> int:
-    H = _load_array(args.file)
+def _cmd_reorder(args: argparse.Namespace, H: HeffterArray) -> Result:
     try:
-        perm = tuple(int(t) for t in args.perm.replace(",", " ").split())
+        perm = tuple(_integer(t) for t in args.perm.replace(",", " ").split())
     except ValueError:
         raise InvalidPermutationError(f"--perm must list integers, got {args.perm!r}") from None
-    sys.stdout.write(serialize_array(reorder_columns(H, perm)))
-    return 0
+    return reorder_columns(H, perm), 0
 
 
-def _cmd_orderings(args: argparse.Namespace) -> int:
-    H = _load_array(args.file)
+def _cmd_orderings(args: argparse.Namespace, H: HeffterArray) -> Result:
     pair = compatible_orderings(H)
     cycle = pair.composition_cycle
     doc = {
@@ -154,12 +155,10 @@ def _cmd_orderings(args: argparse.Namespace) -> int:
         "orbit_length": len(cycle),
         "single_cycle": True,  # compatible_orderings proves the orbit covers all mn cells
     }
-    _print_json(doc)
-    return 0
+    return doc, 0
 
 
-def _cmd_develop(args: argparse.Namespace) -> int:
-    H = _load_array(args.file)
+def _cmd_develop(args: argparse.Namespace, H: HeffterArray) -> Result:
     v = H.modulus
     if args.expand:
         _check_expand(H.m * H.n * v)
@@ -179,12 +178,10 @@ def _cmd_develop(args: argparse.Namespace) -> int:
     }
     if args.expand:
         doc["cycles"] = [list(c) for c in system]
-    _print_json(doc)
-    return 0
+    return doc, 0
 
 
-def _cmd_embed(args: argparse.Namespace) -> int:
-    H = _load_array(args.file)
+def _cmd_embed(args: argparse.Namespace, H: HeffterArray) -> Result:
     if args.expand:
         _check_expand(2 * H.m * H.n * H.modulus)
     face_set = build_face_set(H)
@@ -218,22 +215,18 @@ def _cmd_embed(args: argparse.Namespace) -> int:
             "row_color": [list(w) for w in face_set.rows],
             "col_color": [list(w) for w in face_set.cols],
         }
-    _print_json(doc)
-    return 0 if cert.all_ok else 1
+    return doc, 0 if cert.all_ok else 1
 
 
-def _cmd_genus(args: argparse.Namespace) -> int:
+def _cmd_genus(args: argparse.Namespace) -> Result:
     genus = genus_closed_form(args.n)
     try:
-        text = str(genus)
+        return f"{genus}\n", 0
     except ValueError:  # the interpreter's limit on int-to-decimal conversion
         raise TooLargeError("the genus has too many digits to print as a decimal") from None
-    print(text)
-    return 0
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
-    H = _load_array(args.file)
+def _cmd_search(args: argparse.Namespace, H: HeffterArray) -> Result:
     if args.all:
         check_oracle_size(H.n)
     doc: dict = {"array": _array_meta(H), "strategy": args.strategy}
@@ -255,14 +248,11 @@ def _cmd_search(args: argparse.Namespace) -> int:
             )
             if args.all:
                 doc["all_permutations"] = [list(p) for p in brute_force_oracle(H)]
-    _print_json(doc)
-    return 0 if doc["status"] == "found" else 1
+    return doc, 0 if doc["status"] == "found" else 1
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
-    H = generate_heffter(args.m, args.n, seed=args.seed, node_budget=args.budget)
-    sys.stdout.write(serialize_array(H))
-    return 0
+def _cmd_generate(args: argparse.Namespace) -> Result:
+    return generate_heffter(args.m, args.n, seed=args.seed, node_budget=args.budget), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,7 +317,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        result, code = args.func(args, _load_array(args.file)) if "file" in args else args.func(args)
+        if isinstance(result, dict):
+            _print_json(result)
+        else:
+            sys.stdout.write(serialize_array(result) if isinstance(result, HeffterArray) else result)
+        return code
     except (OSError, HeffterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (OSError, ValueError)) else 1  # bad input, or a failed check

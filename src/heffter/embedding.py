@@ -94,8 +94,8 @@ class CycleSystem:
 
     @property
     def k(self) -> int:
-        """Length of every cycle."""
-        return len(self.bases[0])
+        """Length of every cycle; 0 for a system with no base."""
+        return len(self.bases[0]) if self.bases else 0
 
     def __iter__(self) -> Iterator[Walk]:
         v = self.v
@@ -303,7 +303,7 @@ def _certificate(F: FaceSet, bicolor: bool) -> EmbeddingCertificate:
     euler = v - edges + faces
     genus = (2 - euler) // 2
     matches: bool | None = None
-    if F.rows.bases and F.cols.bases and F.cols.k == 3 and v == 6 * F.rows.k + 1:  # a 3 x n face set
+    if F.cols.k == 3 and v == 6 * F.rows.k + 1:  # a 3 x n face set; an empty colour has k = 0
         matches = genus == genus_closed_form(F.rows.k)
     return EmbeddingCertificate(
         num_row_faces=v * len(F.rows.bases),

@@ -199,6 +199,42 @@ def test_cli_genus_with_more_digits_than_str_allows_is_usage_error() -> None:
             sys.set_int_max_str_digits(old)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["gen3", "--n", "2"],
+        ["genus", "--n", "2"],
+        ["generate", "--m", "40", "--n", "40", "--budget", "10000"],
+        ["generate", "--m", "3", "--n", "3", "--budget", "0"],
+    ),
+    ids=("gen3", "genus", "generate-budget", "generate-zero-budget"),
+)
+def test_cli_failures_that_read_no_file_print_only_an_error_line(argv: list[str]) -> None:
+    code, out, err = _run(argv)
+    assert code in (1, 2) and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize(
+    "argv", (["gen3", "--n", "3"], ["genus", "--n", "5"], ["verify", "--file", "h35.txt"]), ids=lambda a: a[0]
+)
+def test_cli_a_failed_write_is_an_error_line_and_exit_2(
+    tmp_path: Path, monkeypatch: pytest.MonkeyPatch, argv: list[str]
+) -> None:
+    """An array, the genus text and a report that stdout refuses each end in exit 2."""
+    monkeypatch.chdir(tmp_path)
+    Path("h35.txt").write_text(H35_FILE, encoding="ascii")
+    err = io.StringIO()
+    with redirect_stdout(_ClosedPipe()), redirect_stderr(err):
+        assert main(argv) == 2
+    assert err.getvalue() == "error: [Errno 32] Broken pipe\n"
+
+
 def test_cli_zero_budget_is_usage_error(tmp_path: Path) -> None:
     path = tmp_path / "raw6.txt"
     path.write_text(serialize_array(construct_raw_h3(6)), encoding="ascii")
@@ -252,13 +288,16 @@ def test_cli_reorder_rejects_bad_permutation(tmp_path: Path, capsys) -> None:
     assert main(["reorder", "--file", str(path), "--perm", "1,1,2,3,4,5,6,7"]) == 2
 
 
-@pytest.mark.parametrize("perm", ("x", "1,2,3,4,5,6,7,x", "1.5"))
+# int() reads "+1", "1_0" and "\u0661" (ARABIC-INDIC DIGIT ONE); the array file format does not.
+@pytest.mark.parametrize(
+    "perm", ("x", "1,2,3,4,5,6,7,x", "1.5", "+1,2,3,4,5,6,7,8", "1_0", "\u0661,2,3,4,5,6,7,8")
+)
 def test_cli_reorder_rejects_non_integer_permutation(tmp_path: Path, perm: str) -> None:
     path = tmp_path / "raw38.txt"
     path.write_text(serialize_array(construct_raw_h3(8)), encoding="ascii")
-    code, out, err = _run(["reorder", "--file", str(path), "--perm", perm])
-    assert (code, out) == (2, "")
-    assert err.startswith("error:") and "Traceback" not in err
+    assert _run(["reorder", "--file", str(path), "--perm", perm]) == (
+        2, "", f"error: --perm must list integers, got {perm!r}\n"
+    )
 
 
 @pytest.mark.parametrize("cmd", (["verify"], ["orderings"], ["develop", "--rows"], ["embed"], ["search"]))
@@ -482,9 +521,9 @@ def _assert_file_commands_end_in_an_exit_code(data: bytes, perm: str) -> None:
             ["search", "--all"],
             ["search", "--strategy", "exhaustive"],
         ):
-            code, _, err = _run([*cmd, "--file", path])
+            code, out, err = _run([*cmd, "--file", path])
             assert code in (0, 1, 2)
-            assert err == "" or (err.startswith("error:") and err.count("\n") == 1)
+            assert err == "" or (err.startswith("error:") and err.count("\n") == 1 and out == "")
 
 
 @settings(max_examples=60, deadline=None)

@@ -344,6 +344,16 @@ def test_certify_accepts_a_face_set_with_an_empty_colour() -> None:
     assert cert == certify_exhaustive(face_set)
 
 
+def test_a_cycle_system_with_no_base_has_cycle_length_0() -> None:
+    assert CycleSystem(7, ()).k == 0
+    # An empty colour has k = 0, so neither order is a 3 x n face set (cols.k == 3, v == 6 rows.k + 1).
+    triangles = CycleSystem(7, ((0, 1, 3), (0, 3, 2)))
+    for face_set in (FaceSet(CycleSystem(7, ()), triangles), FaceSet(triangles, CycleSystem(7, ()))):
+        cert = certify(face_set)
+        assert (cert.faces, cert.genus, cert.edge_bicolor_ok, cert.genus_matches_formula) == (14, 1, False, None)
+        assert cert == certify_exhaustive(face_set)
+
+
 def test_certify_rejects_simple_zero_sum_array_that_is_not_a_half_set() -> None:
     # Rows and columns sum to 0 and are simple, but 2 and 3 are used twice:
     # the faces exist, and only certify's arc-exactness pass rejects them.
