@@ -8,7 +8,9 @@ sum or a repeated absolute value.  Partial sums of a fixed prefix of
 columns never change when the prefix is extended, so a prefix with a
 repeated sum in any row can be pruned exactly: no completion can repair it.
 The pruned depth-first search therefore finds the lexicographically least
-valid permutation, or proves that none exists.
+valid permutation, or proves that none exists.  A node is one unused
+column tried at one depth.  The search recurses one frame per column, so n
+near 1000 still ends in RecursionError, a known defect (ROADMAP item 1).
 
 ``generate_heffter`` builds m x n Heffter arrays from scratch by
 backtracking over signed value placements on the free (m-1) x (n-1)
@@ -54,40 +56,42 @@ class SearchOutcome:
 
 def _search_backtracking(H: HeffterArray, budget: int) -> tuple[tuple[int, ...] | None, int]:
     v = H.modulus
-    rows = H.cells
-    n = H.n
+    columns = [None, *zip(*H.cells)]  # columns[col] holds column col's entries, top to bottom
     nodes = 0
     prefix: list[int] = []
-    used = [False] * (n + 1)
-    seen: list[set[int]] = [set() for _ in rows]
+    left = list(range(1, H.n + 1))  # the unused columns, ascending
+    seen: list[set[int]] = [set() for _ in H.cells]
 
     def extend(sums: list[int]) -> tuple[int, ...] | None:
         nonlocal nodes
-        if len(prefix) == n:
+        if not left:
             return tuple(prefix)
-        for col in range(1, n + 1):
-            if used[col]:
-                continue
+        for k in range(len(left)):  # left is whole again before each index is read
+            col = left[k]
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError(f"permutation search exceeded {budget} nodes")
-            new = [(s + row[col - 1]) % v for s, row in zip(sums, rows)]
-            if any(x in seen_i for x, seen_i in zip(new, seen)):
-                continue  # a repeated partial sum can never be repaired
-            for x, seen_i in zip(new, seen):
-                seen_i.add(x)
-            used[col] = True
-            prefix.append(col)
-            found = extend(new)
-            if found is not None:
-                return found
-            prefix.pop()
-            used[col] = False
-            for x, seen_i in zip(new, seen):
-                seen_i.remove(x)
+            new = []
+            for s, a, seen_i in zip(sums, columns[col], seen):
+                x = (s + a) % v
+                if x in seen_i:
+                    break  # a repeated partial sum can never be repaired
+                new.append(x)
+            else:
+                for x, seen_i in zip(new, seen):
+                    seen_i.add(x)
+                del left[k]
+                prefix.append(col)
+                found = extend(new)
+                if found is not None:
+                    return found
+                prefix.pop()
+                left.insert(k, col)
+                for x, seen_i in zip(new, seen):
+                    seen_i.remove(x)
         return None
 
-    return extend([0] * len(rows)), nodes
+    return extend([0] * len(seen)), nodes
 
 
 def _rows_simple(rows: Sequence[Sequence[int]], order: Sequence[int], v: int) -> bool:

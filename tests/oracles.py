@@ -2,8 +2,9 @@
 
 Every check of :mod:`heffter.embedding` on all v(m+n) expanded faces,
 O(v^2), the checks of :func:`heffter.orderings.compatible_orderings` on
-each part as it runs, reversed or not, and its composition cycle from
-successor tables: the differential tests compare the package against these.
+each part as it runs, reversed or not, its composition cycle from
+successor tables, and the node count of the column search by the kernel
+it replaced: the differential tests compare the package against these.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from typing import Iterator
 from heffter.core import HeffterArray
 from heffter.embedding import CycleSystem, EmbeddingCertificate, FaceSet, Walk, _certificate, orbit
 from heffter.errors import (
+    BudgetExceededError,
     InconsistentRotationError,
     NoCompatibleConstructionError,
     NotAnEmbeddingError,
@@ -143,3 +145,50 @@ def certify_exhaustive(F: FaceSet) -> EmbeddingCertificate:
     _successors_exhaustive(F)
     bicolor = _pair_coverage_exhaustive(F.rows) and _pair_coverage_exhaustive(F.cols)
     return _certificate(F, bicolor)
+
+
+def search_backtracking_reference(
+    H: HeffterArray, budget: int
+) -> tuple[tuple[int, ...] | None, int]:
+    """The column search as it was first written; the reference for its nodes.
+
+    Scans all n columns at every depth and skips the used ones, sums every
+    row of a child before it checks any.  A node is one unused column tried
+    at one depth, so :func:`heffter.search._search_backtracking` must return
+    the same ``(permutation, nodes)`` or raise the same budget message.
+    """
+    v = H.modulus
+    rows = H.cells
+    n = H.n
+    nodes = 0
+    prefix: list[int] = []
+    used = [False] * (n + 1)
+    seen: list[set[int]] = [set() for _ in rows]
+
+    def extend(sums: list[int]) -> tuple[int, ...] | None:
+        nonlocal nodes
+        if len(prefix) == n:
+            return tuple(prefix)
+        for col in range(1, n + 1):
+            if used[col]:
+                continue
+            nodes += 1
+            if nodes > budget:
+                raise BudgetExceededError(f"permutation search exceeded {budget} nodes")
+            new = [(s + row[col - 1]) % v for s, row in zip(sums, rows)]
+            if any(x in seen_i for x, seen_i in zip(new, seen)):
+                continue  # a repeated partial sum can never be repaired
+            for x, seen_i in zip(new, seen):
+                seen_i.add(x)
+            used[col] = True
+            prefix.append(col)
+            found = extend(new)
+            if found is not None:
+                return found
+            prefix.pop()
+            used[col] = False
+            for x, seen_i in zip(new, seen):
+                seen_i.remove(x)
+        return None
+
+    return extend([0] * len(rows)), nodes

@@ -17,11 +17,14 @@ from heffter.errors import (
 )
 from heffter.h3 import construct_raw_h3, simple_h3
 from heffter.search import (
+    NODE_BUDGET,
     _fill_schedule,
+    _search_backtracking,
     brute_force_oracle,
     find_simple_column_permutation,
     generate_heffter,
 )
+from oracles import search_backtracking_reference
 
 
 def test_config_validation() -> None:
@@ -109,6 +112,21 @@ def test_budget_exhaustion_is_distinguished() -> None:
         find_simple_column_permutation(H, strategy="exhaustive", node_budget=3)
 
 
+def test_search_budget_of_exactly_the_nodes_it_takes_succeeds() -> None:
+    H = construct_raw_h3(15)
+    outcome = find_simple_column_permutation(H, node_budget=26164)
+    assert outcome.permutation == (1, 2, 3, 4, 5, 6, 9, 7, 10, 8, 11, 12, 13, 15, 14)
+    assert outcome.nodes == 26164
+    with pytest.raises(BudgetExceededError, match="^permutation search exceeded 26163 nodes$"):
+        find_simple_column_permutation(H, node_budget=26163)
+
+
+def test_search_walks_the_deep_path_of_simple_h3_800() -> None:
+    # One frame per depth: 800 columns fit under the default recursion limit of 1000.
+    outcome = find_simple_column_permutation(simple_h3(800))
+    assert (outcome.permutation, outcome.nodes) == (tuple(range(1, 801)), 800)
+
+
 def test_search_agrees_with_oracle_on_generated_instances() -> None:
     # 20 random small arrays: the pruned search's verdict and answer match
     # the complete enumeration.
@@ -149,6 +167,38 @@ def test_none_exists_verdict_on_unfixable_grid() -> None:
     assert outcome.permutation is None
     exhaustive = find_simple_column_permutation(grid, strategy="exhaustive")
     assert (exhaustive.permutation, exhaustive.nodes) == (None, 720)
+
+
+def _kernel_outcome(search, H, budget: int):
+    try:
+        return search(H, budget)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+# name: (a thunk building the array, the node budget)
+KERNEL_CORPUS = {
+    **{f"raw_h3({n})": (lambda n=n: construct_raw_h3(n), 100_000) for n in range(3, 27)},
+    **{f"simple_h3({n})": (lambda n=n: simple_h3(n), NODE_BUDGET) for n in (50, 200, 500, 800)},
+    **{
+        f"generate({m},{n},seed={s})": (lambda m=m, n=n, s=s: generate_heffter(m, n, seed=s), NODE_BUDGET)
+        for m in range(3, 7)
+        for n in range(3, 8)
+        for s in range(3)
+    },
+    "UNFIXABLE": (lambda: from_rows(UNFIXABLE), NODE_BUDGET),
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_CORPUS)
+def test_search_kernel_visits_the_nodes_of_the_reference(name: str) -> None:
+    # Equal (permutation, nodes), or the same budget message: the kernel walks
+    # only the unused columns and stops a column at its first repeated row sum,
+    # but tries the same columns in the same order as the reference.
+    build, budget = KERNEL_CORPUS[name]
+    H = build()
+    expected = _kernel_outcome(search_backtracking_reference, H, budget)
+    assert _kernel_outcome(_search_backtracking, H, budget) == expected
 
 
 NOT_HEFFTER = (
