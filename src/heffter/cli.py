@@ -23,7 +23,7 @@ import argparse
 import json
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import __version__
 from .arrayfile import _integer, parse_array, serialize_array
@@ -47,7 +47,7 @@ from .search import (
     generate_heffter,
 )
 
-EXPAND_LIMIT = 2_000_000  # most integers --expand may list: embed lists 2mnv, develop mnv
+EXPAND_LIMIT = 2_000_000  # most integers a listing may hold: embed --expand 2mnv, develop --expand mnv, gen3 3n
 
 # A handler's report, array or genus text, and its exit code; main writes the first.
 Result = tuple[dict | HeffterArray | str, int]
@@ -120,13 +120,14 @@ def _load_array(path: str) -> HeffterArray:
     return parse_array(text)
 
 
-def _check_expand(count: int) -> None:
-    """Refuse an --expand listing of ``count`` integers above EXPAND_LIMIT."""
+def _check_expand(count: int, what: str = "--expand") -> None:
+    """Refuse a listing of ``count`` integers by ``what`` above EXPAND_LIMIT."""
     if count > EXPAND_LIMIT:
-        raise TooLargeError(f"--expand would list {count} integers, more than {EXPAND_LIMIT}")
+        raise TooLargeError(f"{what} would list {count} integers, more than {EXPAND_LIMIT}")
 
 
 def _cmd_gen3(args: argparse.Namespace) -> Result:
+    _check_expand(3 * args.n, "gen3")
     return simple_h3(args.n), 0
 
 
@@ -263,53 +264,42 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen3", help="emit a simple 3 x n Heffter array")
+    def command(name: str, func: Callable[..., Result], help: str, *, file: bool = True) -> argparse.ArgumentParser:
+        """Add subcommand ``name``, run by ``func``; it takes a required ``--file`` unless ``file`` is false."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if file:
+            p.add_argument("--file", required=True)
+        return p
+
+    p = command("gen3", _cmd_gen3, "emit a simple 3 x n Heffter array", file=False)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_gen3)
-
-    p = sub.add_parser("verify", help="verify the Heffter axioms and simplicity of an array file")
-    p.add_argument("--file", required=True)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("reorder", help="apply a column permutation to an array file")
-    p.add_argument("--file", required=True)
+    command("verify", _cmd_verify, "verify the Heffter axioms and simplicity of an array file")
+    p = command("reorder", _cmd_reorder, "apply a column permutation to an array file")
     p.add_argument("--perm", required=True, help='e.g. "1,2,6,8,5,3,4,7"')
-    p.set_defaults(func=_cmd_reorder)
+    command("orderings", _cmd_orderings, "build compatible row/column orderings")
 
-    p = sub.add_parser("orderings", help="build compatible row/column orderings")
-    p.add_argument("--file", required=True)
-    p.set_defaults(func=_cmd_orderings)
-
-    p = sub.add_parser("develop", help="develop the row or column cycle system mod v")
-    p.add_argument("--file", required=True)
+    p = command("develop", _cmd_develop, "develop the row or column cycle system mod v")
     direction = p.add_mutually_exclusive_group(required=True)
     direction.add_argument("--rows", dest="source", action="store_const", const="rows")
     direction.add_argument("--cols", dest="source", action="store_const", const="cols")
     p.add_argument("--expand", action="store_true", help="list every developed cycle")
-    p.set_defaults(func=_cmd_develop)
 
-    p = sub.add_parser("embed", help="assemble and certify the orientable biembedding")
-    p.add_argument("--file", required=True)
+    p = command("embed", _cmd_embed, "assemble and certify the orientable biembedding")
     p.add_argument("--expand", action="store_true", help="list every face explicitly")
-    p.set_defaults(func=_cmd_embed)
-
-    p = sub.add_parser("genus", help="closed-form genus of the K_{6n+1} biembedding")
+    p = command("genus", _cmd_genus, "closed-form genus of the K_{6n+1} biembedding", file=False)
     p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_genus)
 
-    p = sub.add_parser("search", help="find a column permutation making every row simple")
-    p.add_argument("--file", required=True)
+    p = command("search", _cmd_search, "find a column permutation making every row simple")
     p.add_argument("--strategy", choices=STRATEGIES, default="backtracking")
     p.add_argument("--budget", type=int, default=NODE_BUDGET)
     p.add_argument("--all", action="store_true", help="also list every valid permutation (n <= 9)")
-    p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("generate", help="generate an m x n Heffter array by backtracking")
+    p = command("generate", _cmd_generate, "generate an m x n Heffter array by backtracking", file=False)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--budget", type=int, default=NODE_BUDGET)
-    p.set_defaults(func=_cmd_generate)
     return parser
 
 

@@ -114,10 +114,7 @@ def develop_cycles(parts: Iterable[Iterable[int]], v: int) -> CycleSystem:
     half-set count makes k divide (v-1)/2; and translates of different bases
     differ, since their difference sets are disjoint.  Parts are read once.
     """
-    try:
-        parts = tuple(map(tuple, parts))
-    except TypeError:
-        raise InvalidEntryError("parts must be sequences of integers") from None
+    parts = _grid(parts, "parts")
     if not parts:
         raise NotHeffterError("no parts given")
     lengths = {len(p) for p in parts}

@@ -27,6 +27,7 @@ When m and n are both even no compatible orderings exist (the proof is at
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .core import HeffterArray, VerificationReport, verify_heffter
 from .errors import NoCompatibleConstructionError, NotHeffterError, NotSimpleError
@@ -62,13 +63,9 @@ def compose(m: int, n: int, row_from: int, col_from: int) -> tuple[Cell, ...]:
     return tuple(cycle)
 
 
-def _lines(m: int, n: int, reversed_from: int, columns: bool = False) -> Parts:
-    """Rows (or columns) of an m x n grid; lines from ``reversed_from`` on run backwards."""
-    parts = []
-    for a in range(n if columns else m):
-        cells = tuple((b, a) for b in range(m)) if columns else tuple((a, b) for b in range(n))
-        parts.append(cells[::-1] if a >= reversed_from else cells)
-    return tuple(parts)
+def _lines(lines: Iterable[tuple[Cell, ...]], reversed_from: int) -> Parts:
+    """The lines, those from index ``reversed_from`` on reversed."""
+    return tuple(line[::-1] if a >= reversed_from else line for a, line in enumerate(lines))
 
 
 def _checked_lines(H: HeffterArray) -> tuple[VerificationReport, int, int]:
@@ -109,6 +106,7 @@ def compatible_orderings(H: HeffterArray) -> CompatibleOrderingPair:
     """
     _, row_from, col_from = _checked_lines(H)
     m, n = H.m, H.n
+    grid = [tuple((i, j) for j in range(n)) for i in range(m)]
     return CompatibleOrderingPair(
-        _lines(m, n, row_from), _lines(m, n, col_from, columns=True), compose(m, n, row_from, col_from)
+        _lines(grid, row_from), _lines(zip(*grid), col_from), compose(m, n, row_from, col_from)
     )

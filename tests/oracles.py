@@ -3,15 +3,29 @@
 Every check of :mod:`heffter.embedding` on all v(m+n) expanded faces,
 O(v^2), the checks of :func:`heffter.orderings.compatible_orderings` on
 each part as it runs, reversed or not, its composition cycle from
-successor tables, and the node count of the column search by the kernel
-it replaced: the differential tests compare the package against these.
+successor tables, the node count of the column search by the kernel it
+replaced, and the CLI parser written out per subcommand: the differential
+tests compare the package against these.
 """
 
 from __future__ import annotations
 
+import argparse
 from itertools import accumulate, chain
 from typing import Iterator
 
+from heffter import __version__
+from heffter.cli import (
+    _cmd_develop,
+    _cmd_embed,
+    _cmd_gen3,
+    _cmd_generate,
+    _cmd_genus,
+    _cmd_orderings,
+    _cmd_reorder,
+    _cmd_search,
+    _cmd_verify,
+)
 from heffter.core import HeffterArray
 from heffter.embedding import CycleSystem, EmbeddingCertificate, FaceSet, Walk, _certificate, orbit
 from heffter.errors import (
@@ -24,6 +38,7 @@ from heffter.errors import (
     PinchPointError,
 )
 from heffter.orderings import Cell, Parts
+from heffter.search import NODE_BUDGET, STRATEGIES
 
 
 def ordering_parts(m: int, n: int) -> tuple[Parts, Parts]:
@@ -192,3 +207,68 @@ def search_backtracking_reference(
         return None
 
     return extend([0] * len(rows)), nodes
+
+
+def build_parser_reference() -> argparse.ArgumentParser:
+    """The CLI parser written out one block per subcommand.
+
+    :func:`heffter.cli.build_parser` declares each subcommand through one
+    helper; it must print the same help and parse every argv to the same
+    namespace, or fail with the same usage error, as this one.
+    """
+    parser = argparse.ArgumentParser(
+        prog="heffter",
+        description="Construct, verify, and biembed Heffter arrays.",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("gen3", help="emit a simple 3 x n Heffter array")
+    p.add_argument("--n", type=int, required=True)
+    p.set_defaults(func=_cmd_gen3)
+
+    p = sub.add_parser("verify", help="verify the Heffter axioms and simplicity of an array file")
+    p.add_argument("--file", required=True)
+    p.set_defaults(func=_cmd_verify)
+
+    p = sub.add_parser("reorder", help="apply a column permutation to an array file")
+    p.add_argument("--file", required=True)
+    p.add_argument("--perm", required=True, help='e.g. "1,2,6,8,5,3,4,7"')
+    p.set_defaults(func=_cmd_reorder)
+
+    p = sub.add_parser("orderings", help="build compatible row/column orderings")
+    p.add_argument("--file", required=True)
+    p.set_defaults(func=_cmd_orderings)
+
+    p = sub.add_parser("develop", help="develop the row or column cycle system mod v")
+    p.add_argument("--file", required=True)
+    direction = p.add_mutually_exclusive_group(required=True)
+    direction.add_argument("--rows", dest="source", action="store_const", const="rows")
+    direction.add_argument("--cols", dest="source", action="store_const", const="cols")
+    p.add_argument("--expand", action="store_true", help="list every developed cycle")
+    p.set_defaults(func=_cmd_develop)
+
+    p = sub.add_parser("embed", help="assemble and certify the orientable biembedding")
+    p.add_argument("--file", required=True)
+    p.add_argument("--expand", action="store_true", help="list every face explicitly")
+    p.set_defaults(func=_cmd_embed)
+
+    p = sub.add_parser("genus", help="closed-form genus of the K_{6n+1} biembedding")
+    p.add_argument("--n", type=int, required=True)
+    p.set_defaults(func=_cmd_genus)
+
+    p = sub.add_parser("search", help="find a column permutation making every row simple")
+    p.add_argument("--file", required=True)
+    p.add_argument("--strategy", choices=STRATEGIES, default="backtracking")
+    p.add_argument("--budget", type=int, default=NODE_BUDGET)
+    p.add_argument("--all", action="store_true", help="also list every valid permutation (n <= 9)")
+    p.set_defaults(func=_cmd_search)
+
+    p = sub.add_parser("generate", help="generate an m x n Heffter array by backtracking")
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--budget", type=int, default=NODE_BUDGET)
+    p.set_defaults(func=_cmd_generate)
+    return parser
+

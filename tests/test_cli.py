@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
@@ -21,6 +22,7 @@ from heffter.errors import ArrayFormatError
 from heffter.h3 import construct_raw_h3, simple_h3
 from heffter.modmath import partial_sums
 from heffter.search import find_simple_column_permutation, generate_heffter
+from oracles import build_parser_reference
 from test_search import UNFIXABLE
 
 H35_FILE = """heffter 3 5 31
@@ -486,6 +488,18 @@ def test_cli_expand_lists_up_to_the_limit(
     assert _run(command)[0] == 2
 
 
+def test_cli_gen3_refuses_more_than_the_limit_before_building() -> None:
+    # 150,000,000 cells would take gigabytes; refused before any is built.
+    assert _run(["gen3", "--n", "50000000"]) == (2, "", "error: gen3 would list 150000000 integers, more than 2000000\n")
+
+
+def test_cli_gen3_lists_up_to_the_limit(monkeypatch: pytest.MonkeyPatch) -> None:
+    monkeypatch.setattr("heffter.cli.EXPAND_LIMIT", 3 * 8)
+    code, out, _ = _run(["gen3", "--n", "8"])
+    assert code == 0 and parse_array(out) == simple_h3(8)
+    assert _run(["gen3", "--n", "9"]) == (2, "", "error: gen3 would list 27 integers, more than 24\n")
+
+
 def test_cli_generate_refuses_a_budget_below_the_free_cells() -> None:
     # 639,201 free cells cannot be filled in 10 nodes: refused before any
     # 800 x 800 grid or value list is built.
@@ -743,3 +757,63 @@ _json_values = st.recursive(
 @given(_json_values)
 def test_report_encoder_writes_the_bytes_of_json_dumps(value: object) -> None:
     assert cli._encode(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_parser_prints_the_help_of_the_reference() -> None:
+    parser, reference = cli.build_parser(), build_parser_reference()
+    assert parser.format_help() == reference.format_help()
+    subs, reference_subs = _subparsers(parser), _subparsers(reference)
+    assert list(subs) == list(reference_subs) and len(subs) == 9
+    for name, sub in subs.items():
+        assert sub.format_help() == reference_subs[name].format_help(), name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["gen3", "--n", "7"],
+        ["verify", "--file", "a.txt"],
+        ["reorder", "--file", "a.txt", "--perm", "2,1,3"],
+        ["orderings", "--file", "a.txt"],
+        ["develop", "--file", "a.txt", "--rows"],
+        ["develop", "--file", "a.txt", "--cols", "--expand"],
+        ["embed", "--file", "a.txt", "--expand"],
+        ["genus", "--n", "5"],
+        ["search", "--file", "a.txt"],
+        ["search", "--file", "a.txt", "--strategy", "exhaustive", "--budget", "7", "--all"],
+        ["generate", "--m", "3", "--n", "5"],
+        ["generate", "--m", "5", "--n", "7", "--seed", "1", "--budget", "90"],
+    ),
+    ids=" ".join,
+)
+def test_parser_parses_as_the_reference(argv: list[str]) -> None:
+    assert vars(cli.build_parser().parse_args(argv)) == vars(build_parser_reference().parse_args(argv))
+
+
+def _usage_error(parser: argparse.ArgumentParser, argv: list[str]) -> tuple[object, str]:
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    return exc.value.code, err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ["search"],
+        ["develop", "--file", "a.txt", "--rows", "--cols"],
+        ["search", "--file", "a.txt", "--strategy", "bogus"],
+        ["gen3", "--n", "x"],
+        [],
+    ),
+    ids=lambda argv: " ".join(argv) or "no-subcommand",
+)
+def test_parser_refuses_as_the_reference(argv: list[str]) -> None:
+    code, err = _usage_error(cli.build_parser(), argv)
+    assert code == 2 and err.startswith("usage: heffter")
+    assert (code, err) == _usage_error(build_parser_reference(), argv)
