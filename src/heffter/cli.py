@@ -39,6 +39,7 @@ from .errors import (
 from .h3 import simple_h3
 from .orderings import compatible_orderings
 from .search import (
+    EXPAND_LIMIT,
     NODE_BUDGET,
     STRATEGIES,
     brute_force_oracle,
@@ -46,8 +47,6 @@ from .search import (
     find_simple_column_permutation,
     generate_heffter,
 )
-
-EXPAND_LIMIT = 2_000_000  # most integers a listing may hold: embed --expand 2mnv, develop --expand mnv, gen3 3n
 
 # A handler's report, array or genus text, and its exit code; main writes the first.
 Result = tuple[dict | HeffterArray | str, int]

@@ -29,13 +29,16 @@ no step is 0), and a color covers each pair once iff its steps {d, -d} hit
 each class once.  A corner a -> u -> b translates to the corner
 a - u -> 0 -> b - u at vertex 0, and succ_{u+t}(a+t) = succ_u(a) + t, so the
 rotation at u is the one at 0 moved by +u and one (v-1)-cycle at vertex 0
-certifies every vertex.  :func:`certify` therefore runs in O(mn + v) time
-and memory.  Its independent oracle, which expands all v(m+n) faces, lives
-with the tests in ``tests/oracles.py``.
+certifies every vertex.  The counts are kept only for the differences that
+occur, and every scan stops within them, so :func:`certify` takes time and
+memory in proportion to the base faces (2mn steps for an m x n array), not
+to v.  Its independent oracle, which expands all v(m+n) faces and computes
+the Euler data from them, lives with the tests in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
@@ -133,22 +136,20 @@ def develop_cycles(parts: Iterable[Iterable[int]], v: int) -> CycleSystem:
     return CycleSystem(v, tuple(walks))
 
 
-def _step_counts(v: int, bases: Sequence[Walk]) -> list[int]:
-    """counts[d] = the number of base steps a -> b, over all bases, with b - a = d mod v."""
-    counts = [0] * v
-    for base in bases:
-        for a, b in zip(base, base[1:] + base[:1]):
-            counts[(b - a) % v] += 1
-    return counts
+def _steps(v: int, bases: Sequence[Walk]) -> list[int]:
+    """The difference b - a mod v of every base step a -> b, over all bases."""
+    return [(b - a) % v for base in bases for a, b in zip(base, base[1:] + base[:1])]
 
 
-def _pairs_once(counts: Sequence[int]) -> bool:
+def _pairs_once(steps: list[int], v: int) -> bool:
     """Each pair class {d, -d} hit by one step, none by a zero step (a loop, not an edge).
 
     The translates of a step of difference d cover each pair {u, u + d} once.
+    With no zero step, the (v-1)/2 classes are each hit once iff there are as
+    many steps and their classes are distinct.
     """
-    v = len(counts)
-    return counts[0] == 0 and all(counts[d] + counts[v - d] == 1 for d in range(1, v // 2 + 1))
+    h = v // 2
+    return 0 not in steps and len({d if d <= h else v - d for d in steps}) == len(steps) == h
 
 
 def exact_pair_coverage(system: CycleSystem) -> bool:
@@ -157,7 +158,7 @@ def exact_pair_coverage(system: CycleSystem) -> bool:
     Raises InvalidEntryError when ``system`` is not a CycleSystem.
     """
     _check_type(system, CycleSystem)
-    return _pairs_once(_step_counts(system.v, system.bases))
+    return _pairs_once(_steps(system.v, system.bases), system.v)
 
 
 def is_translation_closed(system: CycleSystem) -> bool:
@@ -287,17 +288,35 @@ class EmbeddingCertificate:
         return self.edge_bicolor_ok and self.genus_matches_formula is not False
 
 
-def _certificate(F: FaceSet, bicolor: bool) -> EmbeddingCertificate:
-    """Euler data of a face set whose arcs and rotations have been checked.
+def certify(F: FaceSet) -> EmbeddingCertificate:
+    """Certify a face set from its base faces and compute the genus of its surface.
 
-    The genus needs no check: once every arc lies on one face and every
-    rotation is one cycle, the faces are the face-tracing orbits of a rotation
-    system of the connected K_v, a closed orientable surface, so chi = 2 - 2g, g >= 0.
+    Reads every step check off the base steps (module docstring): a zero step
+    is a degenerate arc, rows[d] + cols[d] faces lie on arc (0, d), and the
+    row steps' pair condition is the one-face-per-color flag.  Then the
+    rotations are checked on the base corners and Euler's formula gives the
+    genus, compared with the closed form for 3 x n inputs.  The genus needs no
+    check: once every arc lies on one face and every rotation is one cycle, the
+    faces are the face-tracing orbits of a rotation system of the connected K_v,
+    a closed orientable surface, so chi = 2 - 2g, g >= 0.  Raises the oracle's
+    exceptions in the oracle's order, with witnesses at vertex 0, after an
+    InvalidEntryError when F is not a FaceSet.
     """
+    _check_type(F, FaceSet)
     v = F.v
+    rows = _steps(v, F.rows.bases)
+    steps = rows + _steps(v, F.cols.bases)
+    arcs = Counter(steps)
+    if arcs[0]:
+        raise NotAnEmbeddingError("degenerate arc at vertex 0")
+    if not len(arcs) == len(steps) == v - 1:  # some d is not one step; each d before the least is one
+        d = 1
+        while arcs[d] == 1:
+            d += 1
+        raise NotAnEmbeddingError(f"arc (0,{d}) lies on {arcs[d]} faces, expected exactly 1")
+    derive_rotations(F)  # raises on pinch points / inconsistencies
     edges = v * (v - 1) // 2
-    faces = F.face_count
-    euler = v - edges + faces
+    euler = v - edges + F.face_count
     genus = (2 - euler) // 2
     matches: bool | None = None
     if F.cols.k == 3 and v == 6 * F.rows.k + 1:  # a 3 x n face set; an empty colour has k = 0
@@ -307,36 +326,10 @@ def _certificate(F: FaceSet, bicolor: bool) -> EmbeddingCertificate:
         num_col_faces=v * len(F.cols.bases),
         vertices=v,
         edges=edges,
-        faces=faces,
+        faces=F.face_count,
         euler_characteristic=euler,
         genus=genus,
-        edge_bicolor_ok=bicolor,
+        # cols[d] + cols[-d] = 2 - rows[d] - rows[-d] once arcs are exact: the colors pass together.
+        edge_bicolor_ok=_pairs_once(rows, v),
         genus_matches_formula=matches,
     )
-
-
-def certify(F: FaceSet) -> EmbeddingCertificate:
-    """Certify a face set from its base faces and compute the genus of its surface.
-
-    Reads every step check off one step count per color (module docstring):
-    a zero step is a degenerate arc, rows[d] + cols[d] faces lie on arc (0, d),
-    and the row table's pair condition is the one-face-per-color flag.  Then the
-    rotations are checked on the base corners and Euler's formula gives the
-    genus, compared with the closed form for 3 x n inputs.  Raises the
-    oracle's exceptions in the oracle's order, with witnesses at vertex 0,
-    after an InvalidEntryError when F is not a FaceSet.
-    """
-    _check_type(F, FaceSet)
-    v = F.v
-    rows = _step_counts(v, F.rows.bases)
-    cols = _step_counts(v, F.cols.bases)
-    if rows[0] or cols[0]:
-        raise NotAnEmbeddingError("degenerate arc at vertex 0")
-    for d in range(1, v):
-        if rows[d] + cols[d] != 1:
-            raise NotAnEmbeddingError(
-                f"arc (0,{d}) lies on {rows[d] + cols[d]} faces, expected exactly 1"
-            )
-    derive_rotations(F)  # raises on pinch points / inconsistencies
-    # cols[d] + cols[-d] = 2 - rows[d] - rows[-d] once arcs are exact: the colors pass together.
-    return _certificate(F, _pairs_once(rows))

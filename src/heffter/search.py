@@ -38,6 +38,7 @@ from .modmath import half_bound
 
 ORACLE_MAX_COLUMNS = 9  # n! complete checks beyond this are not desk-scale
 NODE_BUDGET = 5_000_000  # default node budget of the search and the generator
+EXPAND_LIMIT = 2_000_000  # most integers a listing may hold: generate mn, gen3 3n, embed --expand 2mnv, develop --expand mnv
 STRATEGIES = ("backtracking", "exhaustive")
 
 
@@ -299,6 +300,9 @@ def generate_heffter(
     each forced cell the unused nonzero residue closing its line, so the mn
     cells are a half-set; rows 0..m-2 and columns 0..n-1 are closed
     explicitly, and row m-1 sums to 0 since row and column sums share a total.
+
+    After the budget check and still before it allocates anything, raises
+    TooLargeError when the mn cells are more than EXPAND_LIMIT integers.
     """
     _check_budget(node_budget)
     if type(m) is not int or type(n) is not int or min(m, n) < MIN_DIMENSION:
@@ -313,6 +317,8 @@ def generate_heffter(
     exceeded = f"generator exceeded {node_budget} nodes for {m} x {n}"
     if max(b for _, b in rungs) < (m - 1) * (n - 1):
         raise BudgetExceededError(exceeded)
+    if m * n > EXPAND_LIMIT:
+        raise TooLargeError(f"a {m} x {n} array would list {m * n} integers, more than {EXPAND_LIMIT}")
     ascending = [s * a for a in range(1, m * n + 1) for s in (1, -1)]
     for rung_seed, b in rungs:
         values = list(ascending)

@@ -1,11 +1,12 @@
 """Slow, independent oracles for checks the package reads off a quotient.
 
-Every check of :mod:`heffter.embedding` on all v(m+n) expanded faces,
-O(v^2), the checks of :func:`heffter.orderings.compatible_orderings` on
-each part as it runs, reversed or not, its composition cycle from
-successor tables, the node count of the column search by the kernel it
-replaced, and the CLI parser written out per subcommand: the differential
-tests compare the package against these.
+Every check of :mod:`heffter.embedding` and the Euler data of its
+certificate on all v(m+n) expanded faces, O(v^2), the checks of
+:func:`heffter.orderings.compatible_orderings` on each part as it runs,
+reversed or not, its composition cycle from successor tables, the node
+count of the column search by the kernel it replaced, and the CLI parser
+written out per subcommand: the differential tests compare the package
+against these.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from heffter.cli import (
     _cmd_verify,
 )
 from heffter.core import HeffterArray
-from heffter.embedding import CycleSystem, EmbeddingCertificate, FaceSet, Walk, _certificate, orbit
+from heffter.embedding import EmbeddingCertificate, FaceSet, Walk, orbit
 from heffter.errors import (
     BudgetExceededError,
     InconsistentRotationError,
@@ -130,26 +131,31 @@ def _successors_exhaustive(F: FaceSet) -> tuple[dict[int, int], ...]:
     return tuple(succ)
 
 
-def _pair_coverage_exhaustive(system: CycleSystem) -> bool:
+def _edges(faces: list[Walk]) -> list[tuple[int, int]]:
+    """The undirected edge of every side of every face, smaller end first."""
+    return [(a, b) if a < b else (b, a) for walk in faces for a, b in zip(walk, walk[1:] + walk[:1])]
+
+
+def _pair_coverage_exhaustive(faces: list[Walk], v: int) -> bool:
     """:func:`exact_pair_coverage` by listing the edges of every cycle."""
-    edges: set[tuple[int, int]] = set()
-    for walk in system:
-        for a, b in zip(walk, walk[1:] + walk[:1]):
-            edge = (a, b) if a < b else (b, a)
-            if edge in edges:
-                return False
-            edges.add(edge)
-    return len(edges) == system.v * (system.v - 1) // 2
+    edges = _edges(faces)
+    return len(set(edges)) == len(edges) == v * (v - 1) // 2
 
 
 def certify_exhaustive(F: FaceSet) -> EmbeddingCertificate:
     """:func:`certify` by full expansion of every face; the slow oracle.
 
     Counts every arc of every face in a v x v table, builds the successor
-    map at every vertex, and counts the undirected edges of each color.
+    map at every vertex, and counts the undirected edges of each color.  The
+    Euler data are counted on the expanded faces too: the vertices they
+    visit, their distinct edges and the faces themselves; the 3 x n closed
+    form 1 + (6n+1)(n-2) is compared when every column face is a triangle
+    and every row face an n-gon with v = 6n + 1.  No step of it is shared
+    with :mod:`heffter.embedding`.
     """
     v = F.v
-    counts = _arc_counts(v, chain(F.rows, F.cols))  # raises on a loop arc, so the diagonal is 0
+    rows, cols = list(F.rows), list(F.cols)
+    counts = _arc_counts(v, chain(rows, cols))  # raises on a loop arc, so the diagonal is 0
     for u in range(v):
         for w in range(v):
             c = counts[u * v + w]
@@ -158,8 +164,26 @@ def certify_exhaustive(F: FaceSet) -> EmbeddingCertificate:
                     f"arc ({u},{w}) lies on {c} faces, expected exactly 1"
                 )
     _successors_exhaustive(F)
-    bicolor = _pair_coverage_exhaustive(F.rows) and _pair_coverage_exhaustive(F.cols)
-    return _certificate(F, bicolor)
+    vertices = len({x for walk in chain(rows, cols) for x in walk})
+    edges = len(set(_edges(rows + cols)))
+    faces = len(rows) + len(cols)
+    euler = vertices - edges + faces
+    genus = (2 - euler) // 2
+    n = (v - 1) // 6
+    matches = None
+    if {len(walk) for walk in cols} == {3} and {len(walk) for walk in rows} == {n} and v == 6 * n + 1:
+        matches = genus == 1 + (6 * n + 1) * (n - 2)
+    return EmbeddingCertificate(
+        num_row_faces=len(rows),
+        num_col_faces=len(cols),
+        vertices=vertices,
+        edges=edges,
+        faces=faces,
+        euler_characteristic=euler,
+        genus=genus,
+        edge_bicolor_ok=_pair_coverage_exhaustive(rows, v) and _pair_coverage_exhaustive(cols, v),
+        genus_matches_formula=matches,
+    )
 
 
 def search_backtracking_reference(

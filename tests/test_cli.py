@@ -508,6 +508,12 @@ def test_cli_generate_refuses_a_budget_below_the_free_cells() -> None:
     assert err == "error: generator exceeded 10 nodes for 800 x 800\n"
 
 
+def test_cli_generate_refuses_more_than_the_listing_limit() -> None:
+    # The budget covers the free cells, so the size check refuses, exit 2.
+    assert _run(["generate", "--m", "20000", "--n", "20000", "--seed", "1", "--budget", "400000000"]) == (
+        2, "", "error: a 20000 x 20000 array would list 400000000 integers, more than 2000000\n")
+
+
 @st.composite
 def _signed_arrays(draw: st.DrawFn) -> tuple[str, str]:
     """A parsable m x n array (m, n <= 5) and a column permutation for it."""

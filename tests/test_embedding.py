@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import time
 from functools import lru_cache
 from itertools import accumulate, chain, combinations
 
@@ -300,6 +301,22 @@ def test_certify_rejects_incomplete_face_set() -> None:
     )
     with pytest.raises(NotAnEmbeddingError):
         certify(damaged)
+
+
+def test_certify_and_pair_coverage_work_in_proportion_to_the_faces_not_v() -> None:
+    # Two base triangles on 10**12 + 1 vertices: a table with one slot per
+    # residue would not fit in memory.  Steps 1, 2, -3 and 5, -3, -2 leave arc
+    # (0,3) on no face, the least bad arc, and the three row steps cannot hit
+    # all 5 * 10**11 pair classes.
+    v = 10**12 + 1
+    face_set = FaceSet(CycleSystem(v, ((0, 1, 3),)), CycleSystem(v, ((0, 5, 2),)))
+    start = time.perf_counter()
+    with pytest.raises(NotAnEmbeddingError, match=r"^arc \(0,3\) lies on 0 faces, expected exactly 1$"):
+        certify(face_set)
+    assert time.perf_counter() - start < 1
+    start = time.perf_counter()
+    assert exact_pair_coverage(face_set.rows) is False
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("v", (1, 0, -3, 8, "7", 7.0, True))

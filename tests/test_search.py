@@ -300,6 +300,29 @@ def test_generate_budget_of_exactly_the_free_cells_can_succeed() -> None:
         generate_heffter(3, 3, seed=31, node_budget=3)
 
 
+def test_generate_builds_up_to_the_listing_limit(monkeypatch: pytest.MonkeyPatch) -> None:
+    monkeypatch.setattr("heffter.search.EXPAND_LIMIT", 3 * 4)
+    assert verify_heffter(generate_heffter(3, 4, seed=1)).is_heffter
+    monkeypatch.setattr("heffter.search.EXPAND_LIMIT", 3 * 4 - 1)
+    with pytest.raises(TooLargeError, match="^a 3 x 4 array would list 12 integers, more than 11$"):
+        generate_heffter(3, 4, seed=1)
+    # The budget check comes first: a budget below the 6 free cells is still a budget error.
+    with pytest.raises(BudgetExceededError, match="^generator exceeded 5 nodes for 3 x 4$"):
+        generate_heffter(3, 4, seed=1, node_budget=5)
+
+
+def test_generate_refuses_more_than_the_listing_limit_before_allocating() -> None:
+    # 400,000,000 nodes cover the 399,960,001 free cells, so only the size refuses.
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError, match="^a 20000 x 20000 array would list 400000000 integers, more than 2000000$"):
+            generate_heffter(20_000, 20_000, seed=1, node_budget=400_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 @pytest.mark.parametrize("m", range(3, 13))
 @pytest.mark.parametrize("n", range(3, 13))
 def test_fill_schedule_closes_each_line_with_its_border_cell(m: int, n: int) -> None:
