@@ -23,6 +23,7 @@ from .embedding import (
     genus_closed_form,
     is_translation_closed,
 )
+from .errors import HeffterError
 from .h3 import construct_raw_h3, simple_h3, standard_reordering
 from .modmath import canon, is_half_set, is_simple, partial_sums
 from .orderings import CompatibleOrderingPair, compatible_orderings
@@ -39,6 +40,7 @@ __all__ = [
     "EmbeddingCertificate",
     "FaceSet",
     "HeffterArray",
+    "HeffterError",
     "SearchOutcome",
     "VerificationReport",
     "brute_force_oracle",

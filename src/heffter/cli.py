@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 from . import __version__
 from .arrayfile import _integer, parse_array, serialize_array
-from .core import HeffterArray, reorder_columns, verify_heffter
+from .core import HeffterArray, check_listing, reorder_columns, verify_heffter
 from .embedding import build_face_set, certify, develop_cycles, genus_closed_form
 from .errors import (
     ArrayFormatError,
@@ -39,7 +39,6 @@ from .errors import (
 from .h3 import simple_h3
 from .orderings import compatible_orderings
 from .search import (
-    EXPAND_LIMIT,
     NODE_BUDGET,
     STRATEGIES,
     brute_force_oracle,
@@ -119,14 +118,7 @@ def _load_array(path: str) -> HeffterArray:
     return parse_array(text)
 
 
-def _check_expand(count: int, what: str = "--expand") -> None:
-    """Refuse a listing of ``count`` integers by ``what`` above EXPAND_LIMIT."""
-    if count > EXPAND_LIMIT:
-        raise TooLargeError(f"{what} would list {count} integers, more than {EXPAND_LIMIT}")
-
-
 def _cmd_gen3(args: argparse.Namespace) -> Result:
-    _check_expand(3 * args.n, "gen3")
     return simple_h3(args.n), 0
 
 
@@ -161,7 +153,7 @@ def _cmd_orderings(args: argparse.Namespace, H: HeffterArray) -> Result:
 def _cmd_develop(args: argparse.Namespace, H: HeffterArray) -> Result:
     v = H.modulus
     if args.expand:
-        _check_expand(H.m * H.n * v)
+        check_listing(H.m * H.n * v, "--expand")
     system = develop_cycles(H.cells if args.source == "rows" else tuple(zip(*H.cells)), v)
     doc = {
         "source": args.source,
@@ -183,7 +175,7 @@ def _cmd_develop(args: argparse.Namespace, H: HeffterArray) -> Result:
 
 def _cmd_embed(args: argparse.Namespace, H: HeffterArray) -> Result:
     if args.expand:
-        _check_expand(2 * H.m * H.n * H.modulus)
+        check_listing(2 * H.m * H.n * H.modulus, "--expand")
     face_set = build_face_set(H)
     cert = certify(face_set)
     doc = {

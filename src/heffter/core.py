@@ -13,10 +13,17 @@ from dataclasses import dataclass
 from operator import index
 from typing import Iterator, Sequence
 
-from .errors import InvalidEntryError, InvalidPermutationError
+from .errors import InvalidEntryError, InvalidPermutationError, TooLargeError
 from .modmath import _is_half_set, _partial_sums, half_bound
 
 MIN_DIMENSION = 3  # everything in scope has at least 3 rows and 3 columns
+EXPAND_LIMIT = 2_000_000  # most integers a listing may hold: m x n cells, develop --expand mnv, embed --expand 2mnv
+
+
+def check_listing(count: int, what: str) -> None:
+    """Raise TooLargeError, naming ``what``, when a listing of ``count`` integers exceeds EXPAND_LIMIT."""
+    if count > EXPAND_LIMIT:
+        raise TooLargeError(f"{what} would list {count} integers, more than {EXPAND_LIMIT}")
 
 
 @dataclass(frozen=True)

@@ -97,8 +97,9 @@ class CycleSystem:
 
     @property
     def k(self) -> int:
-        """Length of every cycle; 0 for a system with no base."""
-        return len(self.bases[0]) if self.bases else 0
+        """Length of every cycle; 0 for a system with no base or with bases of mixed lengths."""
+        lengths = {len(base) for base in self.bases}
+        return lengths.pop() if len(lengths) == 1 else 0
 
     def __iter__(self) -> Iterator[Walk]:
         v = self.v
@@ -319,7 +320,7 @@ def certify(F: FaceSet) -> EmbeddingCertificate:
     euler = v - edges + F.face_count
     genus = (2 - euler) // 2
     matches: bool | None = None
-    if F.cols.k == 3 and v == 6 * F.rows.k + 1:  # a 3 x n face set; an empty colour has k = 0
+    if F.cols.k == 3 and v == 6 * F.rows.k + 1:  # a 3 x n face set; k = 0 for no base or mixed lengths
         matches = genus == genus_closed_form(F.rows.k)
     return EmbeddingCertificate(
         num_row_faces=v * len(F.rows.bases),

@@ -66,7 +66,7 @@ class BudgetExceededError(HeffterError):
 
 
 class TooLargeError(HeffterError, ValueError):
-    """Exhaustive enumeration was requested beyond its feasible size."""
+    """A refused size: a listing above core.EXPAND_LIMIT, the oracle above n = 9, a genus too long to print."""
 
 
 class ArrayFormatError(HeffterError, ValueError):

@@ -9,10 +9,10 @@ which predict the partial sums of every reordered row, check the proof and
 build nothing; they are test data in ``tests/paper_tables.py``.
 
 All block entries are stored as coefficient pairs / triples so each printed
-number is auditable one-for-one.  The class and scale m follow from n in
-:func:`_residue_class`, and every raw entry the forms give lies in
-[-3n, 3n] \\ {0}, which tests/test_h3.py proves for all n from slopes and
-intercepts, so :func:`construct_raw_h3` reduces none mod 6n+1.
+number is auditable one-for-one.  :func:`_residue_class`, every builder's entry,
+gives the class and scale m of n and checks n >= 3 and 3n <= ``core.EXPAND_LIMIT``
+before anything is built.  Every raw entry lies in [-3n, 3n] \\ {0}, as
+tests/test_h3.py proves for all n, so :func:`construct_raw_h3` reduces none mod 6n+1.
 
 n = 3 and n = 4 are explicit simple arrays; n = 8 keeps its published
 explicit reordering because the general residue-0 tail differs from it.
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .core import HeffterArray, reorder_columns
+from .core import HeffterArray, check_listing, reorder_columns
 from .errors import OutOfRangeError
 
 Lin = tuple[int, int]  # (a, b) -> a*m + b
@@ -212,6 +212,7 @@ def _residue_class(n: int) -> tuple[_Case, int]:
     """
     if type(n) is not int or n < 3:
         raise OutOfRangeError(f"no 3 x n Heffter array for n={n!r} < 3")
+    check_listing(3 * n, f"a 3 x {n} array")
     return _CASES[n % 8], n // 8 - (n % 8 < 5)
 
 

@@ -32,13 +32,12 @@ from dataclasses import dataclass
 from itertools import chain, count, permutations
 from typing import Iterator, Sequence
 
-from .core import MIN_DIMENSION, HeffterArray, _check_type, verify_heffter
+from .core import MIN_DIMENSION, HeffterArray, _check_type, check_listing, verify_heffter
 from .errors import BudgetExceededError, NotHeffterError, OutOfRangeError, TooLargeError
 from .modmath import half_bound
 
 ORACLE_MAX_COLUMNS = 9  # n! complete checks beyond this are not desk-scale
 NODE_BUDGET = 5_000_000  # default node budget of the search and the generator
-EXPAND_LIMIT = 2_000_000  # most integers a listing may hold: generate mn, gen3 3n, embed --expand 2mnv, develop --expand mnv
 STRATEGIES = ("backtracking", "exhaustive")
 
 
@@ -302,7 +301,7 @@ def generate_heffter(
     explicitly, and row m-1 sums to 0 since row and column sums share a total.
 
     After the budget check and still before it allocates anything, raises
-    TooLargeError when the mn cells are more than EXPAND_LIMIT integers.
+    TooLargeError when the mn cells are more than ``core.EXPAND_LIMIT`` integers.
     """
     _check_budget(node_budget)
     if type(m) is not int or type(n) is not int or min(m, n) < MIN_DIMENSION:
@@ -317,8 +316,7 @@ def generate_heffter(
     exceeded = f"generator exceeded {node_budget} nodes for {m} x {n}"
     if max(b for _, b in rungs) < (m - 1) * (n - 1):
         raise BudgetExceededError(exceeded)
-    if m * n > EXPAND_LIMIT:
-        raise TooLargeError(f"a {m} x {n} array would list {m * n} integers, more than {EXPAND_LIMIT}")
+    check_listing(m * n, f"a {m} x {n} array")
     ascending = [s * a for a in range(1, m * n + 1) for s in (1, -1)]
     for rung_seed, b in rungs:
         values = list(ascending)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from heffter import cli
 from heffter.arrayfile import parse_array, serialize_array
 from heffter.cli import main
-from heffter.core import HeffterArray, from_rows
+from heffter.core import EXPAND_LIMIT, HeffterArray, from_rows
 from heffter.errors import ArrayFormatError
 from heffter.h3 import construct_raw_h3, simple_h3
 from heffter.modmath import partial_sums
@@ -479,25 +479,25 @@ def test_cli_expand_lists_up_to_the_limit(
     path = tmp_path / "h3_4.txt"
     path.write_text(serialize_array(simple_h3(4)), encoding="ascii")
     command = [argv[0], "--file", str(path), *argv[1:], "--expand"]
-    monkeypatch.setattr("heffter.cli.EXPAND_LIMIT", listed)
+    monkeypatch.setattr("heffter.core.EXPAND_LIMIT", listed)
     code, out, _ = _run(command)
     doc = json.loads(out)
     lists = doc["faces"].values() if "faces" in doc else [doc["cycles"]]
     assert code == 0 and sum(len(c) for cycles in lists for c in cycles) == listed
-    monkeypatch.setattr("heffter.cli.EXPAND_LIMIT", listed - 1)
+    monkeypatch.setattr("heffter.core.EXPAND_LIMIT", listed - 1)
     assert _run(command)[0] == 2
 
 
 def test_cli_gen3_refuses_more_than_the_limit_before_building() -> None:
     # 150,000,000 cells would take gigabytes; refused before any is built.
-    assert _run(["gen3", "--n", "50000000"]) == (2, "", "error: gen3 would list 150000000 integers, more than 2000000\n")
+    assert _run(["gen3", "--n", "50000000"]) == (2, "", "error: a 3 x 50000000 array would list 150000000 integers, more than 2000000\n")
 
 
 def test_cli_gen3_lists_up_to_the_limit(monkeypatch: pytest.MonkeyPatch) -> None:
-    monkeypatch.setattr("heffter.cli.EXPAND_LIMIT", 3 * 8)
+    monkeypatch.setattr("heffter.core.EXPAND_LIMIT", 3 * 8)
     code, out, _ = _run(["gen3", "--n", "8"])
     assert code == 0 and parse_array(out) == simple_h3(8)
-    assert _run(["gen3", "--n", "9"]) == (2, "", "error: gen3 would list 27 integers, more than 24\n")
+    assert _run(["gen3", "--n", "9"]) == (2, "", "error: a 3 x 9 array would list 27 integers, more than 24\n")
 
 
 def test_cli_generate_refuses_a_budget_below_the_free_cells() -> None:
@@ -731,7 +731,7 @@ def test_cli_reports_are_json_dumps_bytes_at_every_size(tmp_path: Path, checked_
     for H in arrays:
         path = tmp_path / f"{H.m}x{H.n}.txt"
         path.write_text(serialize_array(H), encoding="ascii")
-        expand = ["--expand"] if 2 * H.m * H.n * H.modulus <= cli.EXPAND_LIMIT else []  # embed lists 2mnv integers
+        expand = ["--expand"] if 2 * H.m * H.n * H.modulus <= EXPAND_LIMIT else []  # embed lists 2mnv integers
         for argv in (["verify"], ["orderings"], ["embed"], ["embed", *expand], ["develop", "--rows", *expand],
                      ["develop", "--cols", *expand]):
             assert _run([*argv, "--file", str(path)])[::2] == (0, "")

@@ -197,7 +197,13 @@ def test_cells_are_immutable() -> None:
         H.cells[0][0] = 3  # type: ignore[index]
 
 
-PUBLIC = {**{name: getattr(heffter, name) for name in heffter.__all__},
+def test_the_package_exports_the_one_base_of_its_errors() -> None:
+    assert heffter.HeffterError is HeffterError and "HeffterError" in heffter.__all__
+    with pytest.raises(heffter.HeffterError):  # a size refusal, caught from the package itself
+        heffter.simple_h3(50_000_000)
+
+
+PUBLIC = {**{name: getattr(heffter, name) for name in heffter.__all__ if name != "HeffterError"},  # caught, not called
           "check_oracle_size": check_oracle_size}
 
 

@@ -6,7 +6,7 @@ from functools import lru_cache
 from itertools import accumulate, chain, combinations
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from heffter.embedding import (
@@ -35,7 +35,7 @@ from heffter.errors import (
     PinchPointError,
 )
 from heffter.core import HeffterArray, from_rows, reorder_columns, transpose
-from heffter.h3 import construct_raw_h3, simple_h3
+from heffter.h3 import H34, construct_raw_h3, simple_h3
 from heffter.modmath import partial_sums
 from heffter.orderings import compatible_orderings
 from heffter.search import find_simple_column_permutation, generate_heffter
@@ -361,8 +361,14 @@ def test_certify_accepts_a_face_set_with_an_empty_colour() -> None:
     assert cert == certify_exhaustive(face_set)
 
 
+# Rows of lengths 4, 3 and 5 beside the four column triangles of H34: v = 25 = 6 * 4 + 1, but not a 3 x n face set.
+MIXED_ROWS = FaceSet(CycleSystem(25, ((0, 1, 3, 6), (0, 8, 21), (0, 18, 4, 20, 15))),
+                     build_face_set(HeffterArray(H34)).cols)
+
+
 def test_a_cycle_system_with_no_base_has_cycle_length_0() -> None:
     assert CycleSystem(7, ()).k == 0
+    assert (MIXED_ROWS.rows.k, MIXED_ROWS.cols.k) == (0, 3)  # bases of mixed lengths share no cycle length
     # An empty colour has k = 0, so neither order is a 3 x n face set (cols.k == 3, v == 6 rows.k + 1).
     triangles = CycleSystem(7, ((0, 1, 3), (0, 3, 2)))
     for face_set in (FaceSet(CycleSystem(7, ()), triangles), FaceSet(triangles, CycleSystem(7, ()))):
@@ -506,6 +512,7 @@ def _face_sets(draw) -> FaceSet:
 
 @settings(max_examples=80, deadline=None)
 @given(_face_sets())
+@example(MIXED_ROWS)
 def test_quotient_checks_match_exhaustive_oracle(face_set: FaceSet) -> None:
     v = face_set.v
     cert = _outcome(certify, face_set)

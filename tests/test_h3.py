@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import re
+import tracemalloc
 from itertools import chain
 
 import pytest
 
 from heffter.arrayfile import serialize_array
 from heffter.core import verify_heffter
-from heffter.errors import OutOfRangeError
+from heffter.errors import OutOfRangeError, TooLargeError
 from heffter.h3 import (
     H33,
     H34,
@@ -132,6 +133,35 @@ def test_every_entry_point_gives_one_message_below_3(n: object) -> None:
         with pytest.raises(OutOfRangeError,
                            match=rf"^no 3 x n Heffter array for n={re.escape(repr(n))} < 3$"):
             entry(n)
+
+
+@pytest.mark.parametrize("entry", (construct_raw_h3, standard_reordering, simple_h3))
+def test_every_entry_point_builds_up_to_the_listing_limit(monkeypatch: pytest.MonkeyPatch, entry) -> None:
+    sizes = (3, 4, 8, 13)  # the explicit arrays, the explicit reordering, the general case
+    built = {n: entry(n) for n in sizes}
+    for n in sizes:
+        monkeypatch.setattr("heffter.core.EXPAND_LIMIT", 3 * n)
+        assert entry(n) == built[n]
+        monkeypatch.setattr("heffter.core.EXPAND_LIMIT", 3 * n - 1)
+        with pytest.raises(TooLargeError, match=rf"^a 3 x {n} array would list {3 * n} integers, more than {3 * n - 1}$"):
+            entry(n)
+    monkeypatch.setattr("heffter.core.EXPAND_LIMIT", 0)
+    with pytest.raises(OutOfRangeError, match="^no 3 x n Heffter array for n=2 < 3$"):  # refused before its size
+        entry(2)
+
+
+@pytest.mark.parametrize("entry", (construct_raw_h3, standard_reordering, simple_h3))
+def test_every_entry_point_refuses_more_than_the_limit_before_allocating(entry) -> None:
+    # 150,000,000 cells would take gigabytes; refused before any is built.
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLargeError,
+                           match="^a 3 x 50000000 array would list 150000000 integers, more than 2000000$"):
+            entry(50_000_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def _canonical_from(slope: int, intercept: int, n0: int) -> bool:

@@ -301,9 +301,9 @@ def test_generate_budget_of_exactly_the_free_cells_can_succeed() -> None:
 
 
 def test_generate_builds_up_to_the_listing_limit(monkeypatch: pytest.MonkeyPatch) -> None:
-    monkeypatch.setattr("heffter.search.EXPAND_LIMIT", 3 * 4)
+    monkeypatch.setattr("heffter.core.EXPAND_LIMIT", 3 * 4)
     assert verify_heffter(generate_heffter(3, 4, seed=1)).is_heffter
-    monkeypatch.setattr("heffter.search.EXPAND_LIMIT", 3 * 4 - 1)
+    monkeypatch.setattr("heffter.core.EXPAND_LIMIT", 3 * 4 - 1)
     with pytest.raises(TooLargeError, match="^a 3 x 4 array would list 12 integers, more than 11$"):
         generate_heffter(3, 4, seed=1)
     # The budget check comes first: a budget below the 6 free cells is still a budget error.
