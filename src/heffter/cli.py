@@ -95,6 +95,13 @@ def _encode(value: object, indent: str = "") -> str:
     return opened(depth) + body + closed(depth)
 
 
+def _number(token: str) -> int:  # a numeric option, spelled as in the array file
+    return _integer(token)
+
+
+_number.__name__ = "int"  # so argparse still reports "invalid int value"
+
+
 def _print_json(doc: dict) -> None:
     print(_encode(doc))
 
@@ -264,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("gen3", _cmd_gen3, "emit a simple 3 x n Heffter array", file=False)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_number, required=True)
     command("verify", _cmd_verify, "verify the Heffter axioms and simplicity of an array file")
     p = command("reorder", _cmd_reorder, "apply a column permutation to an array file")
     p.add_argument("--perm", required=True, help='e.g. "1,2,6,8,5,3,4,7"')
@@ -279,18 +286,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("embed", _cmd_embed, "assemble and certify the orientable biembedding")
     p.add_argument("--expand", action="store_true", help="list every face explicitly")
     p = command("genus", _cmd_genus, "closed-form genus of the K_{6n+1} biembedding", file=False)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_number, required=True)
 
     p = command("search", _cmd_search, "find a column permutation making every row simple")
     p.add_argument("--strategy", choices=STRATEGIES, default="backtracking")
-    p.add_argument("--budget", type=int, default=NODE_BUDGET)
+    p.add_argument("--budget", type=_number, default=NODE_BUDGET)
     p.add_argument("--all", action="store_true", help="also list every valid permutation (n <= 9)")
 
     p = command("generate", _cmd_generate, "generate an m x n Heffter array by backtracking", file=False)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--budget", type=int, default=NODE_BUDGET)
+    p.add_argument("--m", type=_number, required=True)
+    p.add_argument("--n", type=_number, required=True)
+    p.add_argument("--seed", type=_number, default=None)
+    p.add_argument("--budget", type=_number, default=NODE_BUDGET)
     return parser
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import index
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import InvalidEntryError, InvalidPermutationError, TooLargeError
 from .modmath import _is_half_set, _partial_sums, half_bound
@@ -30,11 +30,11 @@ def check_listing(count: int, what: str) -> None:
 class HeffterArray:
     """Immutable m x n grid of canonical residues mod v = 2mn + 1.
 
-    Construction stores the cells as a tuple of tuples, so the array is
-    hashable and equal to any array with the same rows, and validates shape,
-    entry types and entry ranges only; the Heffter axioms (zero sums,
-    half-set) are checked by :func:`verify_heffter` so that broken candidate
-    arrays remain representable.
+    ``cells`` is the one way in: row i is ``cells[i]``, the columns are
+    ``zip(*cells)``.  Construction stores a tuple of tuples, so the array is
+    hashable and equal to any array with the same rows, and checks shape,
+    entry types and entry ranges only; :func:`verify_heffter` checks the
+    axioms (zero sums, half-set), so broken candidates stay representable.
     """
 
     cells: tuple[tuple[int, ...], ...]
@@ -67,16 +67,6 @@ class HeffterArray:
     @property
     def modulus(self) -> int:
         return 2 * len(self.cells) * len(self.cells[0]) + 1
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.cells[i]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.cells)
-
-    def entries(self) -> Iterator[int]:
-        for row in self.cells:
-            yield from row
 
 
 def _grid(rows: Sequence[Sequence[int]], what: str = "rows") -> tuple[tuple[int, ...], ...]:
@@ -145,7 +135,7 @@ def verify_heffter(H: HeffterArray) -> VerificationReport:
     return VerificationReport(
         row_sum_ok=tuple(s[-1] == 0 for s in row_sums),
         col_sum_ok=tuple(s[-1] == 0 for s in col_sums),
-        half_set_ok=_is_half_set(list(H.entries()), v),
+        half_set_ok=_is_half_set([x for row in H.cells for x in row], v),
         row_simple=tuple(len(set(s)) == len(s) for s in row_sums),
         col_simple=tuple(len(set(s)) == len(s) for s in col_sums),
         row_partial_sums=row_sums,

@@ -38,7 +38,6 @@ from .modmath import half_bound
 
 ORACLE_MAX_COLUMNS = 9  # n! complete checks beyond this are not desk-scale
 NODE_BUDGET = 5_000_000  # default node budget of the search and the generator
-STRATEGIES = ("backtracking", "exhaustive")
 
 
 @dataclass(frozen=True)
@@ -116,6 +115,9 @@ def _search_exhaustive(H: HeffterArray, budget: int) -> tuple[tuple[int, ...] | 
     return None, nodes  # n >= 3, so the loop ran and bound nodes
 
 
+STRATEGIES = {"backtracking": _search_backtracking, "exhaustive": _search_exhaustive}
+
+
 def _check_budget(node_budget: int) -> None:
     if type(node_budget) is not int or node_budget <= 0:
         raise OutOfRangeError(f"node_budget must be positive, got {node_budget!r}")
@@ -137,7 +139,7 @@ def find_simple_column_permutation(
     ``permutation`` is None when the full space was exhausted without a
     solution.  Raises BudgetExceededError when ``node_budget`` nodes are spent first.
     """
-    if strategy not in STRATEGIES:
+    if type(strategy) is not str or strategy not in STRATEGIES:
         raise OutOfRangeError(f"unknown strategy {strategy!r}")
     _check_budget(node_budget)
     report = verify_heffter(H)
@@ -148,10 +150,7 @@ def find_simple_column_permutation(
                 raise NotHeffterError(f"{what} {k} does not sum to 0 mod {v}")
     if not report.half_set_ok:
         raise NotHeffterError(f"entries do not form a half-set of Z_{v}")
-    if strategy == "exhaustive":
-        perm, nodes = _search_exhaustive(H, node_budget)
-    else:
-        perm, nodes = _search_backtracking(H, node_budget)
+    perm, nodes = STRATEGIES[strategy](H, node_budget)
     # Only the columns can fail: the gate passed and a permutation keeps line sums and the
     # half-set; column j of the result is column perm[j] of H, in order; backtracking adds each
     # row's sums to ``seen`` without a repeat, exhaustive returns only orders passing _rows_simple.

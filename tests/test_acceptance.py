@@ -72,7 +72,7 @@ def test_criterion_1_golden_reproduction() -> None:
         assert simple_h3(8).cells == H38_REORDERED
         H = simple_h3(8)
         for i in range(3):
-            assert set(partial_sums(H.row(i), 49)) == H38_ROW_SUMS[i]
+            assert set(partial_sums(H.cells[i], 49)) == H38_ROW_SUMS[i]
 
         # Budget: < 1 ms for the whole reproduction (best of 5 runs).
         def run() -> None:
@@ -80,7 +80,7 @@ def test_criterion_1_golden_reproduction() -> None:
             construct_raw_h3(8)
             Hp = simple_h3(8)
             for i in range(3):
-                partial_sums(Hp.row(i), 49)
+                partial_sums(Hp.cells[i], 49)
 
         best = min(_timed(run) for _ in range(5))
         assert best < 1e-3, f"golden reproduction took {best * 1e3:.3f} ms"
@@ -109,7 +109,7 @@ def test_criterion_3_table_conformance() -> None:
             H = simple_h3(n)
             v = H.modulus
             for i in (1, 2, 3):
-                sums = partial_sums(H.row(i - 1), v)
+                sums = partial_sums(H.cells[i - 1], v)
                 # The distinctness guarantee holds unconditionally.
                 assert len(set(sums)) == len(sums), (n, i)
                 actual = frozenset(sums)
@@ -170,7 +170,7 @@ def test_criterion_6_cycle_systems() -> None:
         for n in range(3, 13):
             H = simple_h3(n)
             v = H.modulus
-            for parts in ([H.row(i) for i in range(3)], [H.column(j) for j in range(H.n)]):
+            for parts in (H.cells, tuple(zip(*H.cells))):
                 system = develop_cycles(parts, v)
                 assert exact_pair_coverage(system), n
                 assert is_translation_closed(system), n

@@ -302,6 +302,32 @@ def test_cli_reorder_rejects_non_integer_permutation(tmp_path: Path, perm: str) 
     )
 
 
+# Every numeric option is spelled as in the array file and --perm; int() would
+# also read "+5", "1_0", " 5", "\u0665" (ARABIC-INDIC DIGIT FIVE) and "\uff15" (FULLWIDTH DIGIT FIVE).
+@pytest.mark.parametrize("spelling", ("+5", "1_0", " 5", "\u0665", "\uff15"))
+@pytest.mark.parametrize(
+    "argv, option",
+    (
+        (["gen3", "--n", "5"], "--n"),
+        (["genus", "--n", "5"], "--n"),
+        *((["generate", "--m", "5", "--n", "5", "--seed", "1", "--budget", "1000"], option)
+          for option in ("--m", "--n", "--seed", "--budget")),
+        (["search", "--file", "a.txt", "--budget", "5"], "--budget"),
+    ),
+)
+def test_cli_numeric_options_refuse_spellings_the_format_does_not_define(
+    argv: list[str], option: str, spelling: str
+) -> None:
+    cli.build_parser().parse_args(argv)  # the unchanged command line parses
+    argv = list(argv)
+    argv[argv.index(option) + 1] = spelling
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, out.getvalue()) == (2, "")
+    assert err.getvalue().endswith(f"error: argument {option}: invalid int value: {spelling!r}\n")
+
+
 @pytest.mark.parametrize("cmd", (["verify"], ["orderings"], ["develop", "--rows"], ["embed"], ["search"]))
 def test_cli_non_ascii_file_is_usage_error(tmp_path: Path, cmd: list[str]) -> None:
     path = tmp_path / "h35.txt"
@@ -692,7 +718,7 @@ def test_cli_develop_lists_one_base_walk_per_part(tmp_path: Path) -> None:
     H = simple_h3(5)
     path = tmp_path / "h35.txt"
     path.write_text(serialize_array(H), encoding="ascii")
-    for flag, parts in (("--rows", [H.row(i) for i in range(H.m)]), ("--cols", [H.column(j) for j in range(H.n)])):
+    for flag, parts in (("--rows", H.cells), ("--cols", tuple(zip(*H.cells)))):
         code, out, _ = _run(["develop", "--file", str(path), flag])
         assert code == 0
         expected = [[0, *partial_sums(part, H.modulus)[:-1]] for part in parts]

@@ -34,8 +34,8 @@ H38_REORDERED = (
 def test_array_metadata() -> None:
     H = from_rows(H35)
     assert (H.m, H.n, H.modulus) == (3, 5, 31)
-    assert H.row(0) == (6, 7, -10, -4, 1)
-    assert H.column(2) == (-10, 2, 8)
+    assert H.cells[0] == (6, 7, -10, -4, 1)
+    assert tuple(zip(*H.cells))[2] == (-10, 2, 8)
 
 
 def test_construction_rejects_bad_entries() -> None:
@@ -138,7 +138,7 @@ def test_reorder_columns_published_example() -> None:
 def test_reorder_columns_identity_and_gather() -> None:
     H = from_rows(H35)
     assert reorder_columns(H, (1, 2, 3, 4, 5)) == H
-    assert reorder_columns(H, (5, 3, 1, 4, 2)).row(0) == (1, -10, 6, -4, 7)
+    assert reorder_columns(H, (5, 3, 1, 4, 2)).cells[0] == (1, -10, 6, -4, 7)
 
 
 def test_reorder_columns_rejects_non_permutations() -> None:

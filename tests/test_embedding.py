@@ -57,7 +57,7 @@ def _pairs_covered_once(cycles, v: int) -> bool:
 
 def test_develop_columns_of_h33_gives_cyclic_sts19() -> None:
     H = simple_h3(3)
-    system = develop_cycles([H.column(j) for j in range(3)], 19)
+    system = develop_cycles(tuple(zip(*H.cells)), 19)
     assert system.k == 3
     assert len(tuple(system)) == 57  # 3 base triangles x 19 translates
     assert _pairs_covered_once(system, 19)
@@ -67,7 +67,7 @@ def test_develop_columns_of_h33_gives_cyclic_sts19() -> None:
 
 def test_develop_rows_of_simple_h35_gives_pentagon_system() -> None:
     H = simple_h3(5)
-    system = develop_cycles([H.row(i) for i in range(3)], 31)
+    system = develop_cycles(H.cells, 31)
     assert system.k == 5
     assert len(tuple(system)) == 93  # covering C(31,2) = 465 pairs
     assert _pairs_covered_once(system, 31)
@@ -84,7 +84,7 @@ def test_develop_single_half_set_part_mod7() -> None:
 def test_develop_rejects_non_simple_part() -> None:
     H = construct_raw_h3(8)  # first row repeats a partial sum
     with pytest.raises(NotSimpleError):
-        develop_cycles([H.row(i) for i in range(3)], 49)
+        develop_cycles(H.cells, 49)
 
 
 def test_develop_rejects_bad_sums_and_partitions() -> None:
@@ -242,7 +242,7 @@ def test_genus_closed_form_rejects_non_int_or_small_n(n: object) -> None:
 
 def test_exact_pair_coverage_detects_damage() -> None:
     H = simple_h3(3)
-    system = develop_cycles([H.column(j) for j in range(3)], 19)
+    system = develop_cycles(tuple(zip(*H.cells)), 19)
     broken = CycleSystem(v=19, bases=system.bases[1:])
     assert not exact_pair_coverage(broken)
     # Steps 0, 1, 2, 3, 5 mod 11: a loop is no edge, and the pairs {u, u + 4}
@@ -260,7 +260,7 @@ def test_developed_rows_and_columns_of_generated_arrays_cover_each_pair_once(
     # test.  Lines of 4 or 5 entries are always simple; the columns of the
     # seed-0 7 x 5 array happen to be simple, as develop_cycles requires.
     H = generate_heffter(m, n, seed=seed)
-    for parts in ([H.row(i) for i in range(m)], [H.column(j) for j in range(n)]):
+    for parts in (H.cells, tuple(zip(*H.cells))):
         assert exact_pair_coverage(develop_cycles(parts, H.modulus))
 
 
@@ -412,7 +412,7 @@ def test_face_set_colors_are_developed_row_and_reversed_column_walks(n: int) -> 
 
 def test_develop_keeps_one_base_walk_per_part() -> None:
     H = simple_h3(5)
-    parts = [H.row(i) for i in range(H.m)]
+    parts = H.cells
     system = develop_cycles(parts, H.modulus)
     assert system.bases == tuple((0, *partial_sums(p, H.modulus)[:-1]) for p in parts)
     assert tuple(system) == tuple(

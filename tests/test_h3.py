@@ -94,7 +94,7 @@ def test_simple_h3_published_goldens() -> None:
 def test_simple_h3_row_sum_sets_are_disjoint_except_zero() -> None:
     # Each row's 13 partial sums are pairwise distinct sets at n=13.
     H = simple_h3(13)
-    sets = [frozenset(partial_sums(H.row(i), H.modulus)) for i in range(3)]
+    sets = [frozenset(partial_sums(H.cells[i], H.modulus)) for i in range(3)]
     assert all(len(s) == 13 for s in sets)
     assert len(set(sets)) == 3
 
@@ -110,7 +110,7 @@ def test_simple_h3_verifies_and_is_simple(n: int) -> None:
 @pytest.mark.parametrize("n", range(5, 80))
 def test_raw_entries_cover_exact_half_set(n: int) -> None:
     raw = construct_raw_h3(n)
-    assert sorted(abs(x) for x in raw.entries()) == list(range(1, 3 * n + 1))
+    assert sorted(abs(x) for row in raw.cells for x in row) == list(range(1, 3 * n + 1))
 
 
 def _first_n(c: int) -> int:
@@ -230,7 +230,7 @@ def test_tables_match_direct_sums_up_to_errata() -> None:
         H = simple_h3(n)
         v = H.modulus
         for i in (1, 2, 3):
-            actual = frozenset(partial_sums(H.row(i - 1), v))
+            actual = frozenset(partial_sums(H.cells[i - 1], v))
             assert corrected_row_sums(n, i) == actual, (n, i)
             # The errata are exactly the deviations of the printed table.
             deviations = (actual - predicted[i - 1], predicted[i - 1] - actual)

@@ -19,6 +19,7 @@ from heffter.h3 import construct_raw_h3, simple_h3
 from heffter.search import (
     NODE_BUDGET,
     _fill_schedule,
+    _generate_attempt,
     _search_backtracking,
     brute_force_oracle,
     find_simple_column_permutation,
@@ -31,6 +32,8 @@ def test_config_validation() -> None:
     H = construct_raw_h3(8)
     with pytest.raises(OutOfRangeError, match="^unknown strategy 'simulated-annealing'$"):
         find_simple_column_permutation(H, strategy="simulated-annealing")
+    with pytest.raises(OutOfRangeError, match=r"^unknown strategy \[\]$"):
+        find_simple_column_permutation(H, strategy=[])
     with pytest.raises(OutOfRangeError, match="^node_budget must be positive, got 0$"):
         find_simple_column_permutation(H, node_budget=0)
     with pytest.raises(OutOfRangeError, match="^node_budget must be positive, got 0$"):
@@ -337,6 +340,15 @@ def test_fill_schedule_closes_each_line_with_its_border_cell(m: int, n: int) -> 
     assert col_last == [m - 1] * n
     assert row_last == [n - 1] * m
     assert cells[-1] == (m - 1, n - 1)
+
+
+def test_generate_attempt_returns_none_when_its_values_run_out() -> None:
+    # Four magnitudes cannot fill nine cells of distinct |x|, and the four free
+    # cells take at most 8 * 6 * 4 * 2 nodes, so the attempt searches its whole
+    # space well inside the budget and ends with no cell left to back into.
+    assert _generate_attempt(3, 3, [1, -1, 2, -2, 3, -3, 4, -4], 10**6) is None
+    grid = _generate_attempt(3, 3, [s * a for a in range(1, 10) for s in (1, -1)], 10**6)
+    assert grid is not None and verify_heffter(from_rows(grid)).is_heffter
 
 
 def test_generated_h5n_admit_simple_reorderings() -> None:
