@@ -12,16 +12,21 @@ json's pure-Python encoder, which ``indent`` selects;
 ``test_report_encoder_writes_the_bytes_of_json_dumps`` and the report
 tests beside it in tests/test_cli.py hold it to that.  Exit codes: 0 when
 every requested check passed, 1 when a verification or search failed, 2
-for usage or input errors.  Every success path re-runs the relevant
-certifier or reports a flag its producer proves (each such constant names
-its proof); nothing is reported as passing without one or the other.
+for usage or input errors.  A stdout that cannot take the result (a full
+disk, a closed pipe, a closed stdout) is exit 2 with one ``error:`` line.
+Every success path re-runs the relevant certifier or reports a flag its
+producer proves (each such constant names its proof); nothing is reported
+as passing without one or the other.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
+from contextlib import suppress
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Sequence
 
@@ -102,8 +107,27 @@ def _number(token: str) -> int:  # a numeric option, spelled as in the array fil
 _number.__name__ = "int"  # so argparse still reports "invalid int value"
 
 
+def _write(text: str) -> None:
+    """Write ``text`` to stdout and flush it, so a stdout that refuses it fails here, not at exit.
+
+    After a failed write fd 1 points at ``os.devnull``, so the exit-time flush has nothing to fail on.
+    """
+    if sys.stdout is None:  # the interpreter started with fd 1 closed
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError:
+        with suppress(OSError):  # an in-process caller's StringIO has no fd
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        raise
+
+
 def _print_json(doc: dict) -> None:
-    print(_encode(doc))
+    _write(_encode(doc) + "\n")
 
 
 def _array_meta(H: HeffterArray) -> dict:
@@ -309,7 +333,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if isinstance(result, dict):
             _print_json(result)
         else:
-            sys.stdout.write(serialize_array(result) if isinstance(result, HeffterArray) else result)
+            _write(serialize_array(result) if isinstance(result, HeffterArray) else result)
         return code
     except (OSError, HeffterError) as exc:
         print(f"error: {exc}", file=sys.stderr)

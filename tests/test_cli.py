@@ -4,6 +4,9 @@ import argparse
 import hashlib
 import io
 import json
+import os
+import shutil
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -14,6 +17,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import heffter
 from heffter import cli
 from heffter.arrayfile import parse_array, serialize_array
 from heffter.cli import main
@@ -235,6 +239,74 @@ def test_cli_a_failed_write_is_an_error_line_and_exit_2(
     with redirect_stdout(_ClosedPipe()), redirect_stderr(err):
         assert main(argv) == 2
     assert err.getvalue() == "error: [Errno 32] Broken pipe\n"
+
+
+def _closed_pipe() -> int:
+    """The write end of a pipe whose reader has already exited."""
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+# A child imports this heffter, and without PYTHONUNBUFFERED its stdout is buffered as a user's
+# file or pipe is: write-through would fail inside main even without the flush there.
+_CHILD_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+_CHILD_ENV["PYTHONPATH"] = os.pathsep.join(filter(None, (str(Path(cli.__file__).parents[1]), os.getenv("PYTHONPATH"))))
+_STDOUTS = {
+    "full-disk": (lambda: os.open("/dev/full", os.O_WRONLY), "error: [Errno 28] No space left on device\n"),
+    "closed-pipe": (_closed_pipe, "error: [Errno 32] Broken pipe\n"),
+    "closed-stdout": (None, "error: [Errno 9] Bad file descriptor: '<stdout>'\n"),
+}
+
+
+@pytest.mark.parametrize("stdout", sorted(_STDOUTS))
+@pytest.mark.parametrize(
+    "argv", (["gen3", "--n", "3"], ["genus", "--n", "5"], ["verify", "--file", "h35.txt"]), ids=lambda a: a[0]
+)
+def test_cli_a_stdout_that_refuses_the_result_is_exit_2_in_a_real_process(
+    tmp_path: Path, argv: list[str], stdout: str
+) -> None:
+    """A buffered stdout flushes in main, not at interpreter exit, so its failure is one error line."""
+    if stdout == "full-disk" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    (tmp_path / "h35.txt").write_text(H35_FILE, encoding="ascii")
+    opener, expected = _STDOUTS[stdout]  # no opener: the child closes its fd 1 before it starts
+    fd = opener() if opener else subprocess.DEVNULL
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "heffter.cli", *argv], cwd=tmp_path, env=_CHILD_ENV, stdout=fd,
+            stderr=subprocess.PIPE, text=True, preexec_fn=None if opener else lambda: os.close(1),
+        )
+    finally:
+        if opener:
+            os.close(fd)
+    assert (done.returncode, done.stderr) == (2, expected)
+
+
+def test_cli_an_input_error_leaves_stdout_to_the_caller(tmp_path: Path) -> None:
+    """Only a failed write points fd 1 at os.devnull; an in-process caller keeps its stdout."""
+    code = "from heffter.cli import main; print(main(['verify', '--file', 'missing.txt']), 'and stdout still writes')"
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_CHILD_ENV, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (0, "2 and stdout still writes\n")
+
+
+def test_console_script_parses() -> None:
+    """``bash -n`` on tests/console_script.sh, so a syntax error fails here before it fails in CI."""
+    bash = shutil.which("bash")
+    if bash is None:
+        pytest.skip("no bash")
+    done = subprocess.run([bash, "-n", str(Path(__file__).with_name("console_script.sh"))], capture_output=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_the_version_is_the_one_pyproject_declares(capsys: pytest.CaptureFixture[str]) -> None:
+    tomllib = pytest.importorskip("tomllib", reason="tomllib is new in Python 3.11")
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        version = tomllib.load(fh)["project"]["version"]
+    assert version == heffter.__version__
+    with pytest.raises(SystemExit):
+        main(["--version"])
+    assert capsys.readouterr().out == f"heffter {version}\n"
 
 
 def test_cli_zero_budget_is_usage_error(tmp_path: Path) -> None:
