@@ -110,12 +110,22 @@ _number.__name__ = "int"  # so argparse still reports "invalid int value"
 def _write(text: str) -> None:
     """Write ``text`` to stdout and flush it, so a stdout that refuses it fails here, not at exit.
 
-    After a failed write fd 1 points at ``os.devnull``, so the exit-time flush has nothing to fail on.
+    A stdout with a binary ``buffer`` is given the encoded bytes until it has taken them all: under
+    ``python -u`` that buffer is the raw file, whose write can take part of them and return, as when
+    the reader of a pipe exits mid-write.  After a failed write fd 1 points at ``os.devnull``, so
+    the exit-time flush has nothing to fail on.
     """
     if sys.stdout is None:  # the interpreter started with fd 1 closed
         raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
     try:
-        sys.stdout.write(text)
+        raw = getattr(sys.stdout, "buffer", None)
+        if raw is None:  # an in-process caller's StringIO
+            sys.stdout.write(text)
+        else:
+            sys.stdout.flush()  # whatever the text layer holds goes first
+            data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+            while data:
+                data = data[raw.write(data):]
         sys.stdout.flush()
     except OSError:
         with suppress(OSError):  # an in-process caller's StringIO has no fd

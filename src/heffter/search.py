@@ -17,9 +17,16 @@ backtracking over signed value placements on the free (m-1) x (n-1)
 subgrid; the last cell of every row and column is forced by a zero-sum
 constraint the moment its line fills, following a schedule that spreads
 those forced closures as evenly as possible through the search.  Each
-attempt is one loop over the schedule with an explicit stack of the values
-each cell has left to try, so its depth is bounded by memory, not by the
-interpreter's recursion limit.  Since an H(m,n) exists for every
+attempt is one loop over the free cells with an explicit stack of the
+values each has left to try, so its depth is bounded by memory, not by the
+interpreter's recursion limit.  A free cell tries only the values still
+unplaced, filtered from a list made higher on its path rather than from
+all 2mn; a cell sees the same placements each time it moves to its next
+value, because the cells below it take back all they placed first.  When
+the cell closes a line, values whose closing residue is already placed are
+dropped in the same pass.  A node is still one unplaced value tried at a
+free cell, counted by position, so budget stops fall where a scan of every
+value puts them.  Since an H(m,n) exists for every
 m, n >= 3 and an attempt can reach each one, the generator's only failure
 is a spent node budget, and what it returns is a Heffter array (proofs at
 :func:`generate_heffter`).
@@ -29,8 +36,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain, count, permutations
-from typing import Iterator, Sequence
+from itertools import chain, compress, count, permutations
+from typing import Iterable, Iterator, Sequence
 
 from .core import MIN_DIMENSION, HeffterArray, _check_type, check_listing, verify_heffter
 from .errors import BudgetExceededError, NotHeffterError, OutOfRangeError, TooLargeError
@@ -38,6 +45,7 @@ from .modmath import half_bound
 
 ORACLE_MAX_COLUMNS = 9  # n! complete checks beyond this are not desk-scale
 NODE_BUDGET = 5_000_000  # default node budget of the search and the generator
+SHORT_LIST = 256  # a generator cell with at most this many values left lists them afresh
 
 
 @dataclass(frozen=True)
@@ -217,56 +225,115 @@ def _generate_attempt(
     closes its column and any other last-column cell closes its row; so the
     corner closes column n-1, which gives the residue closing row m-1 too:
     with every other line at 0, both sum to the total of the placed cells.
-    ``tries[k]`` iterates the values cell k has still to try: every value at
-    a free cell, at most the one value closing the line at a forced cell.
-    Nodes are counted at free cells only.  A cell with nothing left to try
-    hands control back to the cell before it, which takes its own value back
-    off the sums and ``used`` and tries its next one.  Returns the solved grid, or None
-    when ``budget`` nodes are spent or the space is searched to its end.
+    ``cells[k]`` is free cell k with the forced cells that follow it in the
+    schedule; the first of them closes cell k's own line, since each strip
+    of :func:`_fill_schedule` ends in its border cell.  ``avail[x]`` says
+    whether |x| is unplaced, indexed by the signed value: ``avail[-x]`` is
+    ``avail[v - x]``, so a residue r in -2mn..2mn is looked up as
+    ``avail[r]``, and ``avail[0]`` is False.
+
+    ``tries[k]`` iterates the candidates of free cell k, as (position, x)
+    with the position among the values still unplaced when cell k was
+    entered, in the order of ``values``.  A cell reads them from the list
+    made last on the path, filtered by ``avail``: it lists them afresh when
+    they are at most ``SHORT_LIST`` (deep cells, where most cells are
+    entered) or at most half of that list (so the lists held on a path sum
+    to O(mn)), and otherwise streams the list lazily.  The two agree because
+    a cell sees the same ``avail`` each time it moves on: the cells below it
+    take back all they placed before control returns, and it takes back its
+    own value first.  When a forced cell follows, the candidates are only
+    the x whose closing residue need - x is unplaced and nonzero, found in
+    the same pass; the rare x with residue x or -x is placed and taken back
+    by the forced check.  A node is still one unplaced value tried at a free
+    cell: choosing the value at position p adds p minus the position of the
+    value before it, and running out adds the unplaced values left after
+    that, so every budget stop falls where a cell-by-cell scan puts it.
+    Returns the solved grid, or None when ``budget`` nodes are spent or the
+    space is searched to its end.
     """
     v = 2 * m * n + 1
     bound = half_bound(v)  # == m*n
-    cells = _fill_schedule(m, n)
-    free = [i < m - 1 and j < n - 1 for i, j in cells]
+    cells: list[tuple[int, int, list[tuple[int, int]], bool, list[tuple[int, int]]]] = []
+    made = 2 * bound  # values left when the last list was made, as if ``values`` held all 2mn
+    for step, (i, j) in enumerate(_fill_schedule(m, n)):
+        if i < m - 1 and j < n - 1:
+            left = 2 * (bound - step)
+            listed = left <= SHORT_LIST or 2 * left <= made
+            made = left if listed else made
+            cells.append((i, j, [], listed, [(i, j)]))  # (i, j, forced cells, listed, all its cells)
+        else:
+            cells[-1][2].append((i, j))
+            cells[-1][4].append((i, j))
     grid = [[0] * n for _ in range(m)]
-    used = [False] * (bound + 1)
+    avail = [True] * v
+    avail[0] = False
+    look = avail.__getitem__
     row_sums = [0] * m
     col_sums = [0] * n
-    tries: list[Iterator[int]] = []
+
+    def take_back(placed: Iterable[tuple[int, int]]) -> None:
+        for i, j in placed:
+            y = grid[i][j]
+            avail[y] = avail[-y] = True
+            row_sums[i] -= y
+            col_sums[j] -= y
+
+    lists = [values]  # the lists made on the path, ``values`` first
+    tries: list[Iterator[tuple[int, int]]] = []
+    lasts: list[int] = []  # lasts[k]: the position of cell k's current value
     nodes = 0
-    step = 0
-    while step < len(cells):
-        i, j = cells[step]
-        if step == len(tries):
-            if free[step]:
-                tries.append(iter(values))
-            else:
-                r = -(col_sums[j] if i == m - 1 else row_sums[i]) % v
-                tries.append(iter((r if r <= bound else r - v,) if r else ()))
-        else:  # back from step + 1: undo this cell
-            x = grid[i][j]  # only this undo reads the cell before it is written again
-            used[abs(x)] = False
-            row_sums[i] -= x
-            col_sums[j] -= x
-        for x in tries[step]:
-            if not used[abs(x)]:
-                break
-        else:
-            tries.pop()
-            if not tries:
-                return None
-            step -= 1
-            continue
-        if free[step]:
-            nodes += 1
+    k = 0
+    while True:
+        i, j, forced, listed, own = cells[k]
+        if k == len(tries):
+            src = lists[-1]
+            if listed:
+                src = list(compress(src, map(look, src)))
+                lists.append(src)
+            tried = enumerate(src if listed else compress(src, map(look, src)), 1)
+            if forced:
+                need = -(col_sums[j] if forced[0][0] == m - 1 else row_sums[i]) % v
+                need = need - v if need > bound else need
+                residues = map(need.__sub__, src if listed else compress(src, map(look, src)))
+                tried = compress(tried, map(look, residues))
+            tries.append(tried)
+            lasts.append(0)
+        else:  # back from cell k + 1
+            take_back(own)
+        for num, x in tries[k]:
+            nodes += num - lasts[k]
+            lasts[k] = num
             if nodes > budget:
                 return None
-        grid[i][j] = x
-        used[abs(x)] = True
-        row_sums[i] += x
-        col_sums[j] += x
-        step += 1
-    return grid
+            grid[i][j] = x
+            avail[x] = avail[-x] = False
+            row_sums[i] += x
+            col_sums[j] += x
+            closed = 0
+            for fi, fj in forced:
+                r = -(col_sums[fj] if fi == m - 1 else row_sums[fi]) % v
+                if not avail[r]:
+                    break
+                r = r - v if r > bound else r
+                grid[fi][fj] = r
+                avail[r] = avail[-r] = False
+                row_sums[fi] += r
+                col_sums[fj] += r
+                closed += 1
+            else:
+                break
+            take_back(own[: closed + 1])
+        else:
+            src = lists.pop() if listed else lists[-1]
+            nodes += (len(src) if listed else sum(map(look, src))) - lasts.pop()
+            tries.pop()
+            if nodes > budget or not tries:
+                return None
+            k -= 1
+            continue
+        k += 1
+        if k == len(cells):
+            return grid
 
 
 def generate_heffter(

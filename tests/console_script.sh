@@ -65,3 +65,7 @@ for report in "orderings --file a.txt" "orderings --file b.txt" "verify --file c
     python3 -c 'import json, sys; sys.stdout.write(json.dumps(json.load(sys.stdin), indent=2, sort_keys=True) + "\n")' < report.json > canonical.json
     cmp canonical.json report.json || fail "heffter $report: not the bytes of json.dumps"
 done
+for env in "-u PYTHONUNBUFFERED" PYTHONUNBUFFERED=1; do  # a reader that stops early: exit 2 and one error line
+    { code=0 && env $env heffter gen3 --n 200000 2> err.txt || code=$?; echo "$code" > code.txt; } | head -c 5 > head.txt
+    [ "$(cat code.txt) $(cat head.txt) $(cat err.txt)" = "2 hefft error: [Errno 32] Broken pipe" ] || fail "gen3 | head -c 5 with env $env: exit $(cat code.txt), $(cat err.txt)"
+done

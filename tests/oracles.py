@@ -4,7 +4,8 @@ Every check of :mod:`heffter.embedding` and the Euler data of its
 certificate on all v(m+n) expanded faces, O(v^2), the checks of
 :func:`heffter.orderings.compatible_orderings` on each part as it runs,
 reversed or not, its composition cycle from successor tables, the node
-count of the column search by the kernel it replaced, and the CLI parser
+count of the column search by the kernel it replaced, the generator's
+grids and budget stops by the attempt it replaced, and the CLI parser
 written out per subcommand: the differential tests compare the package
 against these.
 """
@@ -39,7 +40,8 @@ from heffter.errors import (
     PinchPointError,
 )
 from heffter.orderings import Cell, Parts
-from heffter.search import NODE_BUDGET, STRATEGIES
+from heffter.modmath import half_bound
+from heffter.search import NODE_BUDGET, STRATEGIES, _fill_schedule
 
 
 def ordering_parts(m: int, n: int) -> tuple[Parts, Parts]:
@@ -231,6 +233,71 @@ def search_backtracking_reference(
         return None
 
     return extend([0] * len(rows)), nodes
+
+
+def generate_attempt_reference(
+    m: int, n: int, values: list[int], budget: int
+) -> list[list[int]] | None:
+    """The generator's attempt as it scanned every value at every free cell; the reference for its stops.
+
+    :func:`heffter.search._generate_attempt` must return the same grid or
+    None for every ``(m, n, values, budget)``.  One bounded depth-first pass
+    over the fill schedule, as a single loop.
+
+    A cell is free iff it lies off the last row and column.  A last-row cell
+    closes its column and any other last-column cell closes its row; so the
+    corner closes column n-1, which gives the residue closing row m-1 too:
+    with every other line at 0, both sum to the total of the placed cells.
+    ``tries[k]`` iterates the values cell k has still to try: every value at
+    a free cell, at most the one value closing the line at a forced cell.
+    Nodes are counted at free cells only.  A cell with nothing left to try
+    hands control back to the cell before it, which takes its own value back
+    off the sums and ``used`` and tries its next one.  Returns the solved grid, or None
+    when ``budget`` nodes are spent or the space is searched to its end.
+    """
+    v = 2 * m * n + 1
+    bound = half_bound(v)  # == m*n
+    cells = _fill_schedule(m, n)
+    free = [i < m - 1 and j < n - 1 for i, j in cells]
+    grid = [[0] * n for _ in range(m)]
+    used = [False] * (bound + 1)
+    row_sums = [0] * m
+    col_sums = [0] * n
+    tries: list[Iterator[int]] = []
+    nodes = 0
+    step = 0
+    while step < len(cells):
+        i, j = cells[step]
+        if step == len(tries):
+            if free[step]:
+                tries.append(iter(values))
+            else:
+                r = -(col_sums[j] if i == m - 1 else row_sums[i]) % v
+                tries.append(iter((r if r <= bound else r - v,) if r else ()))
+        else:  # back from step + 1: undo this cell
+            x = grid[i][j]  # only this undo reads the cell before it is written again
+            used[abs(x)] = False
+            row_sums[i] -= x
+            col_sums[j] -= x
+        for x in tries[step]:
+            if not used[abs(x)]:
+                break
+        else:
+            tries.pop()
+            if not tries:
+                return None
+            step -= 1
+            continue
+        if free[step]:
+            nodes += 1
+            if nodes > budget:
+                return None
+        grid[i][j] = x
+        used[abs(x)] = True
+        row_sums[i] += x
+        col_sums[j] += x
+        step += 1
+    return grid
 
 
 def build_parser_reference() -> argparse.ArgumentParser:

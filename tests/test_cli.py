@@ -249,9 +249,11 @@ def _closed_pipe() -> int:
 
 
 # A child imports this heffter, and without PYTHONUNBUFFERED its stdout is buffered as a user's
-# file or pipe is: write-through would fail inside main even without the flush there.
+# file or pipe is: write-through would fail inside main even without the flush there.  With it
+# (python -u) the binary layer under stdout is the raw file, whose write can take part of a result.
 _CHILD_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
 _CHILD_ENV["PYTHONPATH"] = os.pathsep.join(filter(None, (str(Path(cli.__file__).parents[1]), os.getenv("PYTHONPATH"))))
+_CHILD_ENVS = {"buffered": _CHILD_ENV, "unbuffered": {**_CHILD_ENV, "PYTHONUNBUFFERED": "1"}}
 _STDOUTS = {
     "full-disk": (lambda: os.open("/dev/full", os.O_WRONLY), "error: [Errno 28] No space left on device\n"),
     "closed-pipe": (_closed_pipe, "error: [Errno 32] Broken pipe\n"),
@@ -259,12 +261,15 @@ _STDOUTS = {
 }
 
 
-@pytest.mark.parametrize("stdout", sorted(_STDOUTS))
+@pytest.mark.parametrize(
+    "stdout, env",
+    [pytest.param(s, e, id=s if e == "buffered" else f"{s}-{e}") for e in sorted(_CHILD_ENVS) for s in sorted(_STDOUTS)],
+)
 @pytest.mark.parametrize(
     "argv", (["gen3", "--n", "3"], ["genus", "--n", "5"], ["verify", "--file", "h35.txt"]), ids=lambda a: a[0]
 )
 def test_cli_a_stdout_that_refuses_the_result_is_exit_2_in_a_real_process(
-    tmp_path: Path, argv: list[str], stdout: str
+    tmp_path: Path, argv: list[str], stdout: str, env: str
 ) -> None:
     """A buffered stdout flushes in main, not at interpreter exit, so its failure is one error line."""
     if stdout == "full-disk" and not os.path.exists("/dev/full"):
@@ -274,13 +279,27 @@ def test_cli_a_stdout_that_refuses_the_result_is_exit_2_in_a_real_process(
     fd = opener() if opener else subprocess.DEVNULL
     try:
         done = subprocess.run(
-            [sys.executable, "-m", "heffter.cli", *argv], cwd=tmp_path, env=_CHILD_ENV, stdout=fd,
+            [sys.executable, "-m", "heffter.cli", *argv], cwd=tmp_path, env=_CHILD_ENVS[env], stdout=fd,
             stderr=subprocess.PIPE, text=True, preexec_fn=None if opener else lambda: os.close(1),
         )
     finally:
         if opener:
             os.close(fd)
     assert (done.returncode, done.stderr) == (2, expected)
+
+
+@pytest.mark.parametrize("env", sorted(_CHILD_ENVS))
+def test_cli_a_reader_that_stops_early_is_exit_2_in_a_real_process(env: str) -> None:
+    """The reader of a pipe exits with most of a 3.6 MB result unread, as ``| head -c 5`` does."""
+    child = subprocess.Popen(
+        [sys.executable, "-m", "heffter.cli", "gen3", "--n", "200000"], env=_CHILD_ENVS[env],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    head = child.stdout.read(5)
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (head, child.wait(), err) == (b"hefft", 2, b"error: [Errno 32] Broken pipe\n")
 
 
 def test_cli_an_input_error_leaves_stdout_to_the_caller(tmp_path: Path) -> None:

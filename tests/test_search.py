@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import hashlib
+import random
 import re
 import tracemalloc
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heffter.arrayfile import serialize_array
 from heffter.core import from_rows, reorder_columns, verify_heffter
@@ -18,6 +22,7 @@ from heffter.errors import (
 from heffter.h3 import construct_raw_h3, simple_h3
 from heffter.search import (
     NODE_BUDGET,
+    SHORT_LIST,
     _fill_schedule,
     _generate_attempt,
     _search_backtracking,
@@ -25,7 +30,7 @@ from heffter.search import (
     find_simple_column_permutation,
     generate_heffter,
 )
-from oracles import search_backtracking_reference
+from oracles import generate_attempt_reference, search_backtracking_reference
 
 
 def test_config_validation() -> None:
@@ -349,6 +354,78 @@ def test_generate_attempt_returns_none_when_its_values_run_out() -> None:
     assert _generate_attempt(3, 3, [1, -1, 2, -2, 3, -3, 4, -4], 10**6) is None
     grid = _generate_attempt(3, 3, [s * a for a in range(1, 10) for s in (1, -1)], 10**6)
     assert grid is not None and verify_heffter(from_rows(grid)).is_heffter
+
+
+def _value_order(m: int, n: int, seed: int | None, magnitudes: int | None = None) -> list[int]:
+    """generate_heffter's value order for ``seed``, over the first ``magnitudes`` magnitudes (all mn by default)."""
+    values = [s * a for a in range(1, (magnitudes or m * n) + 1) for s in (1, -1)]
+    if seed is not None:
+        random.Random(seed).shuffle(values)
+    return values
+
+
+def _first_grid_budget(m: int, n: int, values: list[int], cap: int) -> int | None:
+    """The least budget at which ``_generate_attempt`` returns a grid, or None when it returns none at ``cap``."""
+    if _generate_attempt(m, n, values, cap) is None:
+        return None
+    lo, hi = 0, cap  # None at lo, a grid at hi: more budget never takes a grid away
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _generate_attempt(m, n, values, mid) is not None else (mid, hi)
+    return hi
+
+
+# SHORT_LIST 0 makes every cell above the last few stream its values from the
+# last list made on its path, as the cells of an array with mn > 128 do.
+@pytest.mark.parametrize("short_list", (SHORT_LIST, 0), ids=("listed", "streamed"))
+@pytest.mark.parametrize("m", range(3, 9))
+def test_generate_attempt_stops_where_the_reference_does(
+    monkeypatch: pytest.MonkeyPatch, m: int, short_list: int
+) -> None:
+    # The same grid or None at every budget: None below the reference's first
+    # grid and that grid from there on, checked at each budget below 40 and
+    # on both sides of the first grid; at the cap, where no grid is found,
+    # both return None.
+    monkeypatch.setattr("heffter.search.SHORT_LIST", short_list)
+    cap = 3_000
+    for n in range(3, 9):
+        for seed in (None, 0, 1):
+            values = _value_order(m, n, seed)
+            stop = _first_grid_budget(m, n, values, cap)
+            if stop is None:
+                assert generate_attempt_reference(m, n, values, cap) is None
+                continue
+            grid = generate_attempt_reference(m, n, values, stop)
+            assert grid is not None and _generate_attempt(m, n, values, stop) == grid
+            assert generate_attempt_reference(m, n, values, stop - 1) is None
+            for budget in range(1, min(stop, 40)):
+                assert _generate_attempt(m, n, values, budget) is None
+                assert generate_attempt_reference(m, n, values, budget) is None
+
+
+@pytest.mark.parametrize("short_list", (SHORT_LIST, 0), ids=("listed", "streamed"))
+def test_generate_attempt_runs_out_where_the_reference_does(monkeypatch: pytest.MonkeyPatch, short_list: int) -> None:
+    # Every budget of the four-magnitude list, which no budget completes,
+    # and of two nine-magnitude orders, past their first grids (9 and 128).
+    monkeypatch.setattr("heffter.search.SHORT_LIST", short_list)
+    for values in ([1, -1, 2, -2, 3, -3, 4, -4], _value_order(3, 3, None), _value_order(3, 3, 5)):
+        for budget in range(1, 8 * 6 * 4 * 2 + 2):
+            assert _generate_attempt(3, 3, values, budget) == generate_attempt_reference(3, 3, values, budget)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(3, 7), st.integers(3, 7), st.integers(0, 2**32), st.integers(1, 2_000),
+    st.sampled_from((SHORT_LIST, 0, 8)), st.none() | st.integers(2, 60),
+)
+def test_generate_attempt_matches_the_reference(
+    m: int, n: int, seed: int, budget: int, short_list: int, magnitudes: int | None
+) -> None:
+    # A truncated magnitude list runs cells out of values early, so their
+    # exhaustion counts decide where later budget stops fall.
+    values = _value_order(m, n, seed, magnitudes and min(magnitudes, m * n))
+    with mock.patch("heffter.search.SHORT_LIST", short_list):
+        assert _generate_attempt(m, n, values, budget) == generate_attempt_reference(m, n, values, budget)
 
 
 def test_generated_h5n_admit_simple_reorderings() -> None:
