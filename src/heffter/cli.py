@@ -112,8 +112,9 @@ def _write(text: str) -> None:
 
     A stdout with a binary ``buffer`` is given the encoded bytes until it has taken them all: under
     ``python -u`` that buffer is the raw file, whose write can take part of them and return, as when
-    the reader of a pipe exits mid-write.  After a failed write fd 1 points at ``os.devnull``, so
-    the exit-time flush has nothing to fail on.
+    the reader of a pipe exits mid-write, or take none and return None, as a full non-blocking pipe
+    does.  After a failed write fd 1 points at ``os.devnull``, so the exit-time flush has nothing
+    to fail on.
     """
     if sys.stdout is None:  # the interpreter started with fd 1 closed
         raise OSError(errno.EBADF, os.strerror(errno.EBADF), "<stdout>")
@@ -125,7 +126,10 @@ def _write(text: str) -> None:
             sys.stdout.flush()  # whatever the text layer holds goes first
             data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
             while data:
-                data = data[raw.write(data):]
+                taken = raw.write(data)
+                if taken is None:  # a non-blocking fd that is full; waiting on it would spin
+                    raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+                data = data[taken:]
         sys.stdout.flush()
     except OSError:
         with suppress(OSError):  # an in-process caller's StringIO has no fd

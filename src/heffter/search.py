@@ -45,7 +45,6 @@ from .modmath import half_bound
 
 ORACLE_MAX_COLUMNS = 9  # n! complete checks beyond this are not desk-scale
 NODE_BUDGET = 5_000_000  # default node budget of the search and the generator
-SHORT_LIST = 256  # a generator cell with at most this many values left lists them afresh
 
 
 @dataclass(frozen=True)
@@ -236,9 +235,9 @@ def _generate_attempt(
     with the position among the values still unplaced when cell k was
     entered, in the order of ``values``.  A cell reads them from the list
     made last on the path, filtered by ``avail``: it lists them afresh when
-    they are at most ``SHORT_LIST`` (deep cells, where most cells are
-    entered) or at most half of that list (so the lists held on a path sum
-    to O(mn)), and otherwise streams the list lazily.  The two agree because
+    they are at most half of that list, so the lists held on a path sum to
+    at most 4mn integers, and otherwise streams that list lazily, reading
+    under twice the values left unplaced of all 2mn.  The two agree because
     a cell sees the same ``avail`` each time it moves on: the cells below it
     take back all they placed before control returns, and it takes back its
     own value first.  When a forced cell follows, the candidates are only
@@ -253,17 +252,16 @@ def _generate_attempt(
     """
     v = 2 * m * n + 1
     bound = half_bound(v)  # == m*n
-    cells: list[tuple[int, int, list[tuple[int, int]], bool, list[tuple[int, int]]]] = []
+    cells: list[tuple[int, int, list[tuple[int, int]], bool]] = []  # (i, j, forced cells, listed)
     made = 2 * bound  # values left when the last list was made, as if ``values`` held all 2mn
     for step, (i, j) in enumerate(_fill_schedule(m, n)):
         if i < m - 1 and j < n - 1:
             left = 2 * (bound - step)
-            listed = left <= SHORT_LIST or 2 * left <= made
+            listed = 2 * left <= made
             made = left if listed else made
-            cells.append((i, j, [], listed, [(i, j)]))  # (i, j, forced cells, listed, all its cells)
+            cells.append((i, j, [], listed))
         else:
             cells[-1][2].append((i, j))
-            cells[-1][4].append((i, j))
     grid = [[0] * n for _ in range(m)]
     avail = [True] * v
     avail[0] = False
@@ -271,8 +269,13 @@ def _generate_attempt(
     row_sums = [0] * m
     col_sums = [0] * n
 
-    def take_back(placed: Iterable[tuple[int, int]]) -> None:
-        for i, j in placed:
+    def take_back(i: int, j: int, forced: Iterable[tuple[int, int]]) -> None:
+        """Take back free cell (i, j), then the forced cells it closed."""
+        x = grid[i][j]
+        avail[x] = avail[-x] = True
+        row_sums[i] -= x
+        col_sums[j] -= x
+        for i, j in forced:
             y = grid[i][j]
             avail[y] = avail[-y] = True
             row_sums[i] -= y
@@ -284,7 +287,7 @@ def _generate_attempt(
     nodes = 0
     k = 0
     while True:
-        i, j, forced, listed, own = cells[k]
+        i, j, forced, listed = cells[k]
         if k == len(tries):
             src = lists[-1]
             if listed:
@@ -299,7 +302,7 @@ def _generate_attempt(
             tries.append(tried)
             lasts.append(0)
         else:  # back from cell k + 1
-            take_back(own)
+            take_back(i, j, forced)
         for num, x in tries[k]:
             nodes += num - lasts[k]
             lasts[k] = num
@@ -322,7 +325,7 @@ def _generate_attempt(
                 closed += 1
             else:
                 break
-            take_back(own[: closed + 1])
+            take_back(i, j, forced[:closed])
         else:
             src = lists.pop() if listed else lists[-1]
             nodes += (len(src) if listed else sum(map(look, src))) - lasts.pop()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import io
 import json
@@ -300,6 +301,23 @@ def test_cli_a_reader_that_stops_early_is_exit_2_in_a_real_process(env: str) -> 
     err = child.stderr.read()
     child.stderr.close()
     assert (head, child.wait(), err) == (b"hefft", 2, b"error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("env", sorted(_CHILD_ENVS))
+def test_cli_a_full_non_blocking_pipe_is_exit_2_in_a_real_process(env: str) -> None:
+    """A non-blocking pipe nobody reads fills with the first 64 KiB of a 3.6 MB result, then refuses."""
+    read, write = os.pipe()
+    os.set_blocking(write, False)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "heffter.cli", "gen3", "--n", "200000"], env=_CHILD_ENVS[env],
+            stdout=write, stderr=subprocess.PIPE, timeout=60,
+        )
+    finally:
+        os.close(write)
+        os.close(read)
+    assert done.returncode == 2 and done.stderr.startswith(f"error: [Errno {errno.EAGAIN}] ".encode())
+    assert done.stderr.count(b"\n") == 1
 
 
 def test_cli_an_input_error_leaves_stdout_to_the_caller(tmp_path: Path) -> None:

@@ -4,7 +4,6 @@ import hashlib
 import random
 import re
 import tracemalloc
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +21,6 @@ from heffter.errors import (
 from heffter.h3 import construct_raw_h3, simple_h3
 from heffter.search import (
     NODE_BUDGET,
-    SHORT_LIST,
     _fill_schedule,
     _generate_attempt,
     _search_backtracking,
@@ -375,18 +373,14 @@ def _first_grid_budget(m: int, n: int, values: list[int], cap: int) -> int | Non
     return hi
 
 
-# SHORT_LIST 0 makes every cell above the last few stream its values from the
-# last list made on its path, as the cells of an array with mn > 128 do.
-@pytest.mark.parametrize("short_list", (SHORT_LIST, 0), ids=("listed", "streamed"))
+# On every size the free cells in the first half of the schedule stream their
+# values from ``values``, and later cells list theirs afresh each time half are left.
 @pytest.mark.parametrize("m", range(3, 9))
-def test_generate_attempt_stops_where_the_reference_does(
-    monkeypatch: pytest.MonkeyPatch, m: int, short_list: int
-) -> None:
+def test_generate_attempt_stops_where_the_reference_does(m: int) -> None:
     # The same grid or None at every budget: None below the reference's first
     # grid and that grid from there on, checked at each budget below 40 and
     # on both sides of the first grid; at the cap, where no grid is found,
     # both return None.
-    monkeypatch.setattr("heffter.search.SHORT_LIST", short_list)
     cap = 3_000
     for n in range(3, 9):
         for seed in (None, 0, 1):
@@ -403,11 +397,9 @@ def test_generate_attempt_stops_where_the_reference_does(
                 assert generate_attempt_reference(m, n, values, budget) is None
 
 
-@pytest.mark.parametrize("short_list", (SHORT_LIST, 0), ids=("listed", "streamed"))
-def test_generate_attempt_runs_out_where_the_reference_does(monkeypatch: pytest.MonkeyPatch, short_list: int) -> None:
+def test_generate_attempt_runs_out_where_the_reference_does() -> None:
     # Every budget of the four-magnitude list, which no budget completes,
     # and of two nine-magnitude orders, past their first grids (9 and 128).
-    monkeypatch.setattr("heffter.search.SHORT_LIST", short_list)
     for values in ([1, -1, 2, -2, 3, -3, 4, -4], _value_order(3, 3, None), _value_order(3, 3, 5)):
         for budget in range(1, 8 * 6 * 4 * 2 + 2):
             assert _generate_attempt(3, 3, values, budget) == generate_attempt_reference(3, 3, values, budget)
@@ -416,16 +408,13 @@ def test_generate_attempt_runs_out_where_the_reference_does(monkeypatch: pytest.
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(3, 7), st.integers(3, 7), st.integers(0, 2**32), st.integers(1, 2_000),
-    st.sampled_from((SHORT_LIST, 0, 8)), st.none() | st.integers(2, 60),
+    st.none() | st.integers(2, 60),
 )
-def test_generate_attempt_matches_the_reference(
-    m: int, n: int, seed: int, budget: int, short_list: int, magnitudes: int | None
-) -> None:
+def test_generate_attempt_matches_the_reference(m: int, n: int, seed: int, budget: int, magnitudes: int | None) -> None:
     # A truncated magnitude list runs cells out of values early, so their
     # exhaustion counts decide where later budget stops fall.
     values = _value_order(m, n, seed, magnitudes and min(magnitudes, m * n))
-    with mock.patch("heffter.search.SHORT_LIST", short_list):
-        assert _generate_attempt(m, n, values, budget) == generate_attempt_reference(m, n, values, budget)
+    assert _generate_attempt(m, n, values, budget) == generate_attempt_reference(m, n, values, budget)
 
 
 def test_generated_h5n_admit_simple_reorderings() -> None:
