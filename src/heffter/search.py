@@ -17,27 +17,28 @@ backtracking over signed value placements on the free (m-1) x (n-1)
 subgrid; the last cell of every row and column is forced by a zero-sum
 constraint the moment its line fills, following a schedule that spreads
 those forced closures as evenly as possible through the search.  Each
-attempt is one loop over the free cells with an explicit stack of the
-values each has left to try, so its depth is bounded by memory, not by the
-interpreter's recursion limit.  A free cell tries only the values still
-unplaced, filtered from a list made higher on its path rather than from
-all 2mn; a cell sees the same placements each time it moves to its next
-value, because the cells below it take back all they placed first.  When
+attempt is one loop over the free cells with an explicit stack of cursors,
+so its depth is bounded by memory, not by the interpreter's recursion
+limit.  The unplaced values sit on one doubly linked list in the value
+order (Knuth's dancing links), two lists of O(mn) integers for the whole
+attempt: placing a value unlinks it and its negative in O(1), and taking it
+back relinks them.  A free cell walks that list from its cursor, its
+current value; the cells below it relink all they unlinked before control
+returns, so the cursor's successor is valid when the cell moves on.  When
 the cell closes a line, values whose closing residue is already placed are
-dropped in the same pass.  A node is still one unplaced value tried at a
-free cell, counted by position, so budget stops fall where a scan of every
-value puts them.  Since an H(m,n) exists for every
-m, n >= 3 and an attempt can reach each one, the generator's only failure
-is a spent node budget, and what it returns is a Heffter array (proofs at
-:func:`generate_heffter`).
+skipped inside the walk.  A node is one unplaced value visited at a free
+cell, so budget stops fall where a scan of every value puts them.  Since an
+H(m,n) exists for every m, n >= 3 and an attempt can reach each one, the
+generator's only failure is a spent node budget, and what it returns is a
+Heffter array (proofs at :func:`generate_heffter`).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import chain, compress, count, permutations
-from typing import Iterable, Iterator, Sequence
+from itertools import chain, count, pairwise, permutations
+from typing import Sequence
 
 from .core import MIN_DIMENSION, HeffterArray, _check_type, check_listing, verify_heffter
 from .errors import BudgetExceededError, NotHeffterError, OutOfRangeError, TooLargeError
@@ -231,87 +232,85 @@ def _generate_attempt(
     ``avail[v - x]``, so a residue r in -2mn..2mn is looked up as
     ``avail[r]``, and ``avail[0]`` is False.
 
-    ``tries[k]`` iterates the candidates of free cell k, as (position, x)
-    with the position among the values still unplaced when cell k was
-    entered, in the order of ``values``.  A cell reads them from the list
-    made last on the path, filtered by ``avail``: it lists them afresh when
-    they are at most half of that list, so the lists held on a path sum to
-    at most 4mn integers, and otherwise streams that list lazily, reading
-    under twice the values left unplaced of all 2mn.  The two agree because
-    a cell sees the same ``avail`` each time it moves on: the cells below it
-    take back all they placed before control returns, and it takes back its
-    own value first.  When a forced cell follows, the candidates are only
-    the x whose closing residue need - x is unplaced and nonzero, found in
-    the same pass; the rare x with residue x or -x is placed and taken back
-    by the forced check.  A node is still one unplaced value tried at a free
-    cell: choosing the value at position p adds p minus the position of the
-    value before it, and running out adds the unplaced values left after
-    that, so every budget stop falls where a cell-by-cell scan puts it.
-    Returns the solved grid, or None when ``budget`` nodes are spent or the
-    space is searched to its end.
+    The unplaced values lie on one circular doubly linked list in the order
+    of ``values``: ``nxt[x]`` and ``prv[x]`` are the values after and before
+    the signed value x, indexed like ``avail``, and 0, which is never placed,
+    is the head.  A value not in ``values`` is linked to itself, so it
+    unlinks and relinks in place.  The two lists hold 2v integers for the
+    whole attempt, O(mn).  Placing x unlinks x, then -x; taking a cell back
+    relinks them in the reverse order, and a free cell takes back the forced
+    cells it closed, last-first, before its own value.  ``cursors[k]`` is
+    free cell k's current value.  The cells below a cell relink all they
+    unlinked before control returns to it, and it relinks its own value, so
+    the list is the one it was entered with and the walk resumes at
+    ``nxt[cursor]``.  A cell that closes a line skips, inside the walk, each
+    x whose closing residue need - x is placed or zero; the rare x with
+    residue x or -x is placed and taken back by the forced check.  A node is
+    one unplaced value visited at a free cell, skipped or not, so every
+    budget stop falls where a cell-by-cell scan puts it: the budget is
+    checked at a chosen value and when a cell runs out.  Returns the solved
+    grid, or None when ``budget`` nodes are spent or the space is searched
+    to its end.
     """
     v = 2 * m * n + 1
     bound = half_bound(v)  # == m*n
-    cells: list[tuple[int, int, list[tuple[int, int]], bool]] = []  # (i, j, forced cells, listed)
-    made = 2 * bound  # values left when the last list was made, as if ``values`` held all 2mn
-    for step, (i, j) in enumerate(_fill_schedule(m, n)):
+    cells: list[tuple[int, int, list[tuple[int, int]]]] = []  # (i, j, forced cells)
+    for i, j in _fill_schedule(m, n):
         if i < m - 1 and j < n - 1:
-            left = 2 * (bound - step)
-            listed = 2 * left <= made
-            made = left if listed else made
-            cells.append((i, j, [], listed))
+            cells.append((i, j, []))
         else:
             cells[-1][2].append((i, j))
     grid = [[0] * n for _ in range(m)]
     avail = [True] * v
     avail[0] = False
-    look = avail.__getitem__
     row_sums = [0] * m
     col_sums = [0] * n
-
-    def take_back(i: int, j: int, forced: Iterable[tuple[int, int]]) -> None:
-        """Take back free cell (i, j), then the forced cells it closed."""
-        x = grid[i][j]
-        avail[x] = avail[-x] = True
-        row_sums[i] -= x
-        col_sums[j] -= x
-        for i, j in forced:
-            y = grid[i][j]
-            avail[y] = avail[-y] = True
-            row_sums[i] -= y
-            col_sums[j] -= y
-
-    lists = [values]  # the lists made on the path, ``values`` first
-    tries: list[Iterator[tuple[int, int]]] = []
-    lasts: list[int] = []  # lasts[k]: the position of cell k's current value
+    nxt: list[int | None] = [None] * v
+    prv: list[int | None] = [None] * v
+    for x, y in pairwise(chain((0,), values, (0,))):
+        nxt[x] = y
+        prv[y] = x
+    for x in range(-bound, bound + 1):
+        if nxt[x] is None:  # x is not in ``values``
+            nxt[x] = prv[x] = x
+    cursors: list[int] = []
     nodes = 0
     k = 0
     while True:
-        i, j, forced, listed = cells[k]
-        if k == len(tries):
-            src = lists[-1]
-            if listed:
-                src = list(compress(src, map(look, src)))
-                lists.append(src)
-            tried = enumerate(src if listed else compress(src, map(look, src)), 1)
-            if forced:
-                need = -(col_sums[j] if forced[0][0] == m - 1 else row_sums[i]) % v
-                need = need - v if need > bound else need
-                residues = map(need.__sub__, src if listed else compress(src, map(look, src)))
-                tried = compress(tried, map(look, residues))
-            tries.append(tried)
-            lasts.append(0)
-        else:  # back from cell k + 1
-            take_back(i, j, forced)
-        for num, x in tries[k]:
-            nodes += num - lasts[k]
-            lasts[k] = num
+        i, j, forced = cells[k]
+        if k < len(cursors):  # back to cell k: take back its forced cells last-first, then itself
+            x = cursors.pop()
+            while closed:
+                closed -= 1
+                fi, fj = forced[closed]
+                y = grid[fi][fj]
+                avail[y] = avail[-y] = True
+                row_sums[fi] -= y
+                col_sums[fj] -= y
+                nxt[prv[-y]] = prv[nxt[-y]] = -y
+                nxt[prv[y]] = prv[nxt[y]] = y
+            avail[x] = avail[-x] = True
+            row_sums[i] -= x
+            col_sums[j] -= x
+            nxt[prv[-x]] = prv[nxt[-x]] = -x
+            nxt[prv[x]] = prv[nxt[x]] = x
+        else:
+            x = 0
+        if forced:
+            need = -(col_sums[j] if forced[0][0] == m - 1 else row_sums[i]) % v
+            need = need - v if need > bound else need
+        while x := nxt[x]:
+            nodes += 1
+            if forced and not avail[need - x]:
+                continue
             if nodes > budget:
                 return None
             grid[i][j] = x
             avail[x] = avail[-x] = False
             row_sums[i] += x
             col_sums[j] += x
+            nxt[prv[x]], prv[nxt[x]] = nxt[x], prv[x]
+            nxt[prv[-x]], prv[nxt[-x]] = nxt[-x], prv[-x]
             closed = 0
             for fi, fj in forced:
                 r = -(col_sums[fj] if fi == m - 1 else row_sums[fi]) % v
@@ -322,21 +321,21 @@ def _generate_attempt(
                 avail[r] = avail[-r] = False
                 row_sums[fi] += r
                 col_sums[fj] += r
+                nxt[prv[r]], prv[nxt[r]] = nxt[r], prv[r]
+                nxt[prv[-r]], prv[nxt[-r]] = nxt[-r], prv[-r]
                 closed += 1
-            else:
-                break
-            take_back(i, j, forced[:closed])
-        else:
-            src = lists.pop() if listed else lists[-1]
-            nodes += (len(src) if listed else sum(map(look, src))) - lasts.pop()
-            tries.pop()
-            if nodes > budget or not tries:
+            break
+        else:  # the cell ran out: back to the cell before it, all of whose forced cells hold
+            if nodes > budget or not k:
                 return None
             k -= 1
+            closed = len(cells[k][2])
             continue
-        k += 1
-        if k == len(cells):
-            return grid
+        cursors.append(x)
+        if closed == len(forced):  # else the loop's top takes x back and the walk moves on
+            k += 1
+            if k == len(cells):
+                return grid
 
 
 def generate_heffter(

@@ -373,8 +373,8 @@ def _first_grid_budget(m: int, n: int, values: list[int], cap: int) -> int | Non
     return hi
 
 
-# On every size the free cells in the first half of the schedule stream their
-# values from ``values``, and later cells list theirs afresh each time half are left.
+# On every size each free cell walks the linked list of unplaced values, and
+# resumes from its current value after the cells below it have relinked theirs.
 @pytest.mark.parametrize("m", range(3, 9))
 def test_generate_attempt_stops_where_the_reference_does(m: int) -> None:
     # The same grid or None at every budget: None below the reference's first
