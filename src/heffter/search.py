@@ -24,10 +24,14 @@ order (Knuth's dancing links), two lists of O(mn) integers for the whole
 attempt: placing a value unlinks it and its negative in O(1), and taking it
 back relinks them.  A free cell walks that list from its cursor, its
 current value; the cells below it relink all they unlinked before control
-returns, so the cursor's successor is valid when the cell moves on.  When
-the cell closes a line, values whose closing residue is already placed are
-skipped inside the walk.  A node is one unplaced value visited at a free
-cell, so budget stops fall where a scan of every value puts them.  Since an
+returns, so the cursor's successor is valid when the cell moves on.  Each
+closure is checked before anything is written: a cell that closes its line
+takes a value only if the closing residue is unplaced and neither the value
+nor its negative, then writes both cells.  The last free cell settles its
+row, its column and the corner in one scan, each value's three closing
+residues being affine in it.  A node is one unplaced value visited at a
+free cell, taken or not, so budget stops fall where a scan of every value
+puts them.  Since an
 H(m,n) exists for every m, n >= 3 and an attempt can reach each one, the
 generator's only failure is a spent node budget, and what it returns is a
 Heffter array (proofs at :func:`generate_heffter`).
@@ -225,12 +229,14 @@ def _generate_attempt(
     closes its column and any other last-column cell closes its row; so the
     corner closes column n-1, which gives the residue closing row m-1 too:
     with every other line at 0, both sum to the total of the placed cells.
-    ``cells[k]`` is free cell k with the forced cells that follow it in the
-    schedule; the first of them closes cell k's own line, since each strip
-    of :func:`_fill_schedule` ends in its border cell.  ``avail[x]`` says
-    whether |x| is unplaced, indexed by the signed value: ``avail[-x]`` is
-    ``avail[v - x]``, so a residue r in -2mn..2mn is looked up as
-    ``avail[r]``, and ``avail[0]`` is False.
+    In :func:`_fill_schedule` every free cell but the last is followed by at
+    most one forced cell, which closes the free cell's own line, since each
+    strip ends in its border cell; ``cells[k]`` is free cell k with that
+    forced cell or None.  The last free cell, (m-2, n-2), is followed by
+    (m-2, n-1), (m-1, n-2) and the corner.  ``avail[x]`` says whether |x| is
+    unplaced, indexed by the signed value: ``avail[-x]`` is ``avail[v - x]``,
+    so a residue r in -2mn..2mn is looked up as ``avail[r]``, and
+    ``avail[0]`` is False.
 
     The unplaced values lie on one circular doubly linked list in the order
     of ``values``: ``nxt[x]`` and ``prv[x]`` are the values after and before
@@ -238,28 +244,34 @@ def _generate_attempt(
     is the head.  A value not in ``values`` is linked to itself, so it
     unlinks and relinks in place.  The two lists hold 2v integers for the
     whole attempt, O(mn).  Placing x unlinks x, then -x; taking a cell back
-    relinks them in the reverse order, and a free cell takes back the forced
-    cells it closed, last-first, before its own value.  ``cursors[k]`` is
-    free cell k's current value.  The cells below a cell relink all they
-    unlinked before control returns to it, and it relinks its own value, so
-    the list is the one it was entered with and the walk resumes at
-    ``nxt[cursor]``.  A cell that closes a line skips, inside the walk, each
-    x whose closing residue need - x is placed or zero; the rare x with
-    residue x or -x is placed and taken back by the forced check.  A node is
-    one unplaced value visited at a free cell, skipped or not, so every
-    budget stop falls where a cell-by-cell scan puts it: the budget is
-    checked at a chosen value and when a cell runs out.  Returns the solved
-    grid, or None when ``budget`` nodes are spent or the space is searched
-    to its end.
+    relinks them in the reverse order, and a free cell takes back its forced
+    cell before its own value.  ``cursors[k]`` is free cell k's current
+    value.  The cells below a cell relink all they unlinked before control
+    returns to it, and it relinks its own value, so the list is the one it
+    was entered with and the walk resumes at ``nxt[cursor]``.
+
+    Each closure is checked before anything is written.  A cell that closes
+    a line with residue ``need`` takes x only if need - x is unplaced and
+    neither x nor -x (``need`` is not 0 and need - 2x is not 0 mod v), and
+    then writes x and its forced cell together.  The last free cell settles
+    its row, its column and the corner from three affine residues of x,
+    c1 - x, c2 - x and c3 + x, with the c's read off the line sums on entry:
+    it takes the first x whose three residues are unplaced and whose four
+    magnitudes are distinct, and the grid is complete.  A node is one
+    unplaced value visited at a free cell, taken or not, so every budget
+    stop falls where a cell-by-cell scan puts it: the budget is checked at a
+    chosen value and when a cell runs out.  Returns the solved grid, or None
+    when ``budget`` nodes are spent or the space is searched to its end.
     """
     v = 2 * m * n + 1
     bound = half_bound(v)  # == m*n
-    cells: list[tuple[int, int, list[tuple[int, int]]]] = []  # (i, j, forced cells)
-    for i, j in _fill_schedule(m, n):
+    cells: list[tuple[int, int, tuple[int, int] | None]] = []  # (i, j, forced cell or None)
+    for i, j in _fill_schedule(m, n)[:-4]:  # the last free cell and its three closures are settled apart
         if i < m - 1 and j < n - 1:
-            cells.append((i, j, []))
+            cells.append((i, j, None))
         else:
-            cells[-1][2].append((i, j))
+            cells[-1] = (*cells[-1][:2], (i, j))
+    last = len(cells)
     grid = [[0] * n for _ in range(m)]
     avail = [True] * v
     avail[0] = False
@@ -277,65 +289,75 @@ def _generate_attempt(
     nodes = 0
     k = 0
     while True:
-        i, j, forced = cells[k]
-        if k < len(cursors):  # back to cell k: take back its forced cells last-first, then itself
-            x = cursors.pop()
-            while closed:
-                closed -= 1
-                fi, fj = forced[closed]
-                y = grid[fi][fj]
-                avail[y] = avail[-y] = True
-                row_sums[fi] -= y
-                col_sums[fj] -= y
-                nxt[prv[-y]] = prv[nxt[-y]] = -y
-                nxt[prv[y]] = prv[nxt[y]] = y
-            avail[x] = avail[-x] = True
-            row_sums[i] -= x
-            col_sums[j] -= x
-            nxt[prv[-x]] = prv[nxt[-x]] = -x
-            nxt[prv[x]] = prv[nxt[x]] = x
-        else:
+        if k == last:  # x closes row m-2 with c1 - x, column n-2 with c2 - x, then column n-1 with c3 + x
+            c1 = (bound - row_sums[m - 2]) % v - bound  # canonical residues, in -bound..bound
+            c2 = (bound - col_sums[n - 2]) % v - bound
+            c3 = (bound - col_sums[n - 1] - c1) % v - bound
             x = 0
-        if forced:
-            need = -(col_sums[j] if forced[0][0] == m - 1 else row_sums[i]) % v
-            need = need - v if need > bound else need
-        while x := nxt[x]:
-            nodes += 1
-            if forced and not avail[need - x]:
-                continue
-            if nodes > budget:
-                return None
-            grid[i][j] = x
-            avail[x] = avail[-x] = False
-            row_sums[i] += x
-            col_sums[j] += x
-            nxt[prv[x]], prv[nxt[x]] = nxt[x], prv[x]
-            nxt[prv[-x]], prv[nxt[-x]] = nxt[-x], prv[-x]
-            closed = 0
-            for fi, fj in forced:
-                r = -(col_sums[fj] if fi == m - 1 else row_sums[fi]) % v
-                if not avail[r]:
-                    break
-                r = r - v if r > bound else r
-                grid[fi][fj] = r
-                avail[r] = avail[-r] = False
-                row_sums[fi] += r
-                col_sums[fj] += r
-                nxt[prv[r]], prv[nxt[r]] = nxt[r], prv[r]
-                nxt[prv[-r]], prv[nxt[-r]] = nxt[-r], prv[-r]
-                closed += 1
-            break
-        else:  # the cell ran out: back to the cell before it, all of whose forced cells hold
-            if nodes > budget or not k:
-                return None
-            k -= 1
-            closed = len(cells[k][2])
-            continue
-        cursors.append(x)
-        if closed == len(forced):  # else the loop's top takes x back and the walk moves on
-            k += 1
-            if k == len(cells):
+            while x := nxt[x]:
+                nodes += 1
+                if not (avail[c1 - x] and avail[c2 - x] and avail[c3 + x]):
+                    continue
+                r1, r2, r3 = ((r + bound) % v - bound for r in (c1 - x, c2 - x, c3 + x))
+                if len({abs(x), abs(r1), abs(r2), abs(r3)}) < 4:
+                    continue
+                if nodes > budget:
+                    return None
+                grid[m - 2][n - 2 :] = x, r1
+                grid[m - 1][n - 2 :] = r2, r3
                 return grid
+        else:
+            i, j, forced = cells[k]
+            if k < len(cursors):  # back to cell k: take back its forced cell, then itself
+                x = cursors.pop()
+                if forced:
+                    fi, fj = forced
+                    y = grid[fi][fj]
+                    avail[y] = avail[-y] = True
+                    row_sums[fi] -= y
+                    col_sums[fj] -= y
+                    nxt[prv[-y]] = prv[nxt[-y]] = -y
+                    nxt[prv[y]] = prv[nxt[y]] = y
+                avail[x] = avail[-x] = True
+                row_sums[i] -= x
+                col_sums[j] -= x
+                nxt[prv[-x]] = prv[nxt[-x]] = -x
+                nxt[prv[x]] = prv[nxt[x]] = x
+            else:
+                x = 0
+            if not forced:
+                if x := nxt[x]:
+                    nodes += 1
+            else:
+                fi, fj = forced
+                need = (bound - (col_sums[j] if fi == m - 1 else row_sums[i])) % v - bound
+                while x := nxt[x]:
+                    nodes += 1
+                    if avail[need - x] and need and (need - 2 * x) % v:
+                        break
+            if x:
+                if nodes > budget:
+                    return None
+                grid[i][j] = x
+                avail[x] = avail[-x] = False
+                row_sums[i] += x
+                col_sums[j] += x
+                nxt[prv[x]], prv[nxt[x]] = nxt[x], prv[x]
+                nxt[prv[-x]], prv[nxt[-x]] = nxt[-x], prv[-x]
+                if forced:
+                    r = (need - x + bound) % v - bound
+                    grid[fi][fj] = r
+                    avail[r] = avail[-r] = False
+                    row_sums[fi] += r
+                    col_sums[fj] += r
+                    nxt[prv[r]], prv[nxt[r]] = nxt[r], prv[r]
+                    nxt[prv[-r]], prv[nxt[-r]] = nxt[-r], prv[-r]
+                cursors.append(x)
+                k += 1
+                continue
+        if nodes > budget or not k:  # cell k ran out: back to the cell before it
+            return None
+        k -= 1
 
 
 def generate_heffter(

@@ -46,52 +46,66 @@ class Mutant(NamedTuple):
 
 SEARCH = "src/heffter/search.py"
 SEARCH_TESTS = "tests/test_search.py"
-# How the generator takes a resumed cell back: its forced cells last-first, then its own value.
+# How the generator takes a resumed cell back: its forced cell, then its own value.
 FORCED_BACK = (
-    "            while closed:\n"
-    "                closed -= 1\n"
-    "                fi, fj = forced[closed]\n"
-    "                y = grid[fi][fj]\n"
-    "                avail[y] = avail[-y] = True\n"
-    "                row_sums[fi] -= y\n"
-    "                col_sums[fj] -= y\n"
-    "                nxt[prv[-y]] = prv[nxt[-y]] = -y\n"
-    "                nxt[prv[y]] = prv[nxt[y]] = y\n"
+    "                if forced:\n"
+    "                    fi, fj = forced\n"
+    "                    y = grid[fi][fj]\n"
+    "                    avail[y] = avail[-y] = True\n"
+    "                    row_sums[fi] -= y\n"
+    "                    col_sums[fj] -= y\n"
+    "                    nxt[prv[-y]] = prv[nxt[-y]] = -y\n"
+    "                    nxt[prv[y]] = prv[nxt[y]] = y\n"
 )
 FREE_BACK = (
-    "            avail[x] = avail[-x] = True\n"
-    "            row_sums[i] -= x\n"
-    "            col_sums[j] -= x\n"
-    "            nxt[prv[-x]] = prv[nxt[-x]] = -x\n"
-    "            nxt[prv[x]] = prv[nxt[x]] = x\n"
+    "                avail[x] = avail[-x] = True\n"
+    "                row_sums[i] -= x\n"
+    "                col_sums[j] -= x\n"
+    "                nxt[prv[-x]] = prv[nxt[-x]] = -x\n"
+    "                nxt[prv[x]] = prv[nxt[x]] = x\n"
 )
+# The check a closing cell makes before it writes x: need - x unplaced, and neither -x nor x.
+CLOSES = "if avail[need - x] and need and (need - 2 * x) % v:"
+ARRAYFILE = "src/heffter/arrayfile.py"
+CLI_TESTS = "tests/test_cli.py"
+CORE = "src/heffter/core.py"
+CORE_TESTS = "tests/test_core.py"
 
 MUTANTS = (
     Mutant(
         "generator: values skipped by the residue filter are not counted as nodes",
         SEARCH,
-        "            nodes += 1\n"
-        "            if forced and not avail[need - x]:\n"
-        "                continue\n",
-        "            if forced and not avail[need - x]:\n"
-        "                continue\n"
-        "            nodes += 1\n",
+        "                    nodes += 1\n"
+        f"                    {CLOSES}\n"
+        "                        break\n",
+        f"                    {CLOSES}\n"
+        "                        nodes += 1\n"
+        "                        break\n",
         SEARCH_TESTS,
         "killed",
     ),
     Mutant(
+        "generator: values skipped by the last cell's scan are not counted as nodes",
+        SEARCH,
+        "                nodes += 1\n                if not (avail[c1 - x]",
+        "                if not (avail[c1 - x]",
+        SEARCH_TESTS,
+        "killed",
+    ),
+    Mutant(
+        # At any other cell, >= only stops early an attempt that the last cell's check stops anyway.
         "generator: the budget is compared with >=",
         SEARCH,
-        "            if nodes > budget:\n                return None\n            grid[i][j] = x\n",
-        "            if nodes >= budget:\n                return None\n            grid[i][j] = x\n",
+        "                if nodes > budget:\n                    return None\n                grid[m - 2]",
+        "                if nodes >= budget:\n                    return None\n                grid[m - 2]",
         SEARCH_TESTS,
         "killed",
     ),
     Mutant(
         "generator: a resumed cell restarts its walk at the head",
         SEARCH,
-        "            nxt[prv[x]] = prv[nxt[x]] = x\n        else:\n            x = 0\n",
-        "            nxt[prv[x]] = prv[nxt[x]] = x\n        x = 0\n",
+        "                nxt[prv[x]] = prv[nxt[x]] = x\n            else:\n                x = 0\n",
+        "                nxt[prv[x]] = prv[nxt[x]] = x\n            x = 0\n",
         SEARCH_TESTS,
         "killed",
     ),
@@ -104,23 +118,52 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
-        "generator: forced cells are taken back in placement order",
+        "generator: the residue filter of a closing cell is off",
         SEARCH,
-        "            while closed:\n"
-        "                closed -= 1\n"
-        "                fi, fj = forced[closed]\n",
-        "            for fi, fj in forced[:closed]:\n",
+        CLOSES,
+        "if need and (need - 2 * x) % v:",
         SEARCH_TESTS,
         "killed",
     ),
     Mutant(
-        # The filter only skips values that the forced check rejects at no node cost.
-        "generator: the residue filter of a closing cell is off",
+        "generator: a closing cell takes x whose residue is -x",
         SEARCH,
-        "            if forced and not avail[need - x]:\n                continue\n",
-        "",
+        CLOSES,
+        "if avail[need - x] and (need - 2 * x) % v:",
         SEARCH_TESTS,
-        "speed-only",
+        "killed",
+    ),
+    Mutant(
+        "generator: a closing cell takes x whose residue is x",
+        SEARCH,
+        CLOSES,
+        "if avail[need - x] and need:",
+        SEARCH_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "generator: the last cell takes three distinct magnitudes of four",
+        SEARCH,
+        "if len({abs(x), abs(r1), abs(r2), abs(r3)}) < 4:",
+        "if len({abs(x), abs(r1), abs(r2), abs(r3)}) < 3:",
+        SEARCH_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "generator: the corner's residue adds the closure of row m-2",
+        SEARCH,
+        "c3 = (bound - col_sums[n - 1] - c1) % v - bound",
+        "c3 = (bound - col_sums[n - 1] + c1) % v - bound",
+        SEARCH_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "generator: the last cell skips the budget check when it succeeds",
+        SEARCH,
+        "                if nodes > budget:\n                    return None\n                grid[m - 2]",
+        "                grid[m - 2]",
+        SEARCH_TESTS,
+        "killed",
     ),
     Mutant(
         "column search: a repeated partial sum does not prune",
@@ -143,7 +186,47 @@ MUTANTS = (
         "src/heffter/cli.py",
         "for key in sorted(value)]",
         "for key in value]",
-        "tests/test_cli.py",
+        CLI_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "parse_array: an integer may carry a + sign",
+        ARRAYFILE,
+        'r"-?[0-9]+(?: -?[0-9]+)*"',
+        'r"[-+]?[0-9]+(?: [-+]?[0-9]+)*"',
+        CLI_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "parse_array: a repeated absolute value is accepted",
+        ARRAYFILE,
+        "if abs(x) in seen_abs:",
+        "if False:",
+        CLI_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "parse_array: data after the rows is accepted",
+        ARRAYFILE,
+        'if extra.strip() and not extra.lstrip().startswith("#"):',
+        "if False:",
+        CLI_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "verify_heffter: column simplicity is read off the row sums",
+        CORE,
+        "col_simple=tuple(len(set(s)) == len(s) for s in col_sums),",
+        "col_simple=tuple(len(set(s)) == len(s) for s in row_sums),",
+        CORE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "verify_heffter: every column sum is accepted",
+        CORE,
+        "col_sum_ok=tuple(s[-1] == 0 for s in col_sums),",
+        "col_sum_ok=tuple(True for s in col_sums),",
+        CORE_TESTS,
         "killed",
     ),
 )

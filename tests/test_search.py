@@ -4,6 +4,7 @@ import hashlib
 import random
 import re
 import tracemalloc
+from itertools import pairwise
 
 import pytest
 from hypothesis import given, settings
@@ -343,6 +344,22 @@ def test_fill_schedule_closes_each_line_with_its_border_cell(m: int, n: int) -> 
     assert col_last == [m - 1] * n
     assert row_last == [n - 1] * m
     assert cells[-1] == (m - 1, n - 1)
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+@pytest.mark.parametrize("n", range(3, 13))
+def test_fill_schedule_follows_each_free_cell_but_the_last_with_at_most_its_own_closure(m: int, n: int) -> None:
+    # _generate_attempt writes a free cell together with the one forced cell
+    # after it, which closes the free cell's own row or column, and settles
+    # the last free cell's row, column and corner in one scan.
+    cells = _fill_schedule(m, n)
+    free = [k for k, (i, j) in enumerate(cells) if i < m - 1 and j < n - 1]
+    assert free[0] == 0
+    assert cells[free[-1] :] == [(m - 2, n - 2), (m - 2, n - 1), (m - 1, n - 2), (m - 1, n - 1)]
+    for k, after in pairwise(free):
+        i, j = cells[k]
+        forced = cells[k + 1 : after]
+        assert forced in ([], [(i, n - 1)], [(m - 1, j)])
 
 
 def test_generate_attempt_returns_none_when_its_values_run_out() -> None:
