@@ -32,6 +32,7 @@ from .search import (
     brute_force_oracle,
     find_simple_column_permutation,
     generate_heffter,
+    simple_column_permutations,
 )
 
 __all__ = [
@@ -63,6 +64,7 @@ __all__ = [
     "partial_sums",
     "reorder_columns",
     "serialize_array",
+    "simple_column_permutations",
     "simple_h3",
     "standard_reordering",
     "transpose",

@@ -46,10 +46,10 @@ from .orderings import compatible_orderings
 from .search import (
     NODE_BUDGET,
     STRATEGIES,
-    brute_force_oracle,
     check_oracle_size,
     find_simple_column_permutation,
     generate_heffter,
+    simple_column_permutations,
 )
 
 # A handler's report, array or genus text, and its exit code; main writes the first.
@@ -284,7 +284,7 @@ def _cmd_search(args: argparse.Namespace, H: HeffterArray) -> Result:
                 }
             )
             if args.all:
-                doc["all_permutations"] = [list(p) for p in brute_force_oracle(H)]
+                doc["all_permutations"] = simple_column_permutations(H)
     return doc, 0 if doc["status"] == "found" else 1
 
 

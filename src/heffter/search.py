@@ -11,6 +11,11 @@ The pruned depth-first search therefore finds the lexicographically least
 valid permutation, or proves that none exists.  A node is one unused
 column tried at one depth.  The search recurses one frame per column, so n
 near 1000 still ends in RecursionError, a known defect (ROADMAP item 1).
+Every valid permutation, the list ``search --all`` prints, comes from
+:func:`simple_column_permutations`: when every row sums to 0, simplicity
+depends only on the cyclic column order up to reversal, so it checks
+(n-1)!/2 orders, one per class, and lists the 2n orders of each valid
+class.  :func:`brute_force_oracle` checks all n! orders independently.
 
 ``generate_heffter`` builds m x n Heffter arrays from scratch by
 backtracking over signed value placements on the free (m-1) x (n-1)
@@ -48,7 +53,7 @@ from .core import MIN_DIMENSION, HeffterArray, _check_type, check_listing, verif
 from .errors import BudgetExceededError, NotHeffterError, OutOfRangeError, TooLargeError
 from .modmath import half_bound
 
-ORACLE_MAX_COLUMNS = 9  # n! complete checks beyond this are not desk-scale
+ORACLE_MAX_COLUMNS = 9  # --all checks (n-1)!/2 orders but may list n!: 134,928 for raw H(3,9)
 NODE_BUDGET = 5_000_000  # default node budget of the search and the generator
 
 
@@ -196,6 +201,37 @@ def brute_force_oracle(H: HeffterArray) -> list[tuple[int, ...]]:
     ]
 
 
+def simple_column_permutations(H: HeffterArray) -> list[tuple[int, ...]]:
+    """Every valid column permutation of H, in lexicographic order: :func:`brute_force_oracle`'s list.
+
+    When every row sums to 0, simplicity of a column order depends only on
+    its cyclic order up to reversal.  With S_k a row's k-th partial sum, S_0 = S_n = 0:
+    - rotating the order to start at column k+1 translates the row's set of partial sums by -S_k;
+    - reversing the order negates that set, since its sums are S_n - S_(n-k) = -S_(n-k).
+    Both keep the sums distinct, so each class of 2n orders (distinct for
+    n >= 3) is valid or not as a whole.  Only the class representative
+    that starts with column 1 and whose second column is less than its
+    last is checked, (n-1)!/2 orders; a valid one brings its n rotations
+    and the n rotations of its reversal.  Raises InvalidEntryError when H
+    is not a HeffterArray, then OutOfRangeError or TooLargeError as
+    :func:`check_oracle_size`, then NotHeffterError naming the first row
+    that does not sum to 0.
+    """
+    _check_type(H, HeffterArray)
+    check_oracle_size(H.n)
+    v = H.modulus
+    for k, row in enumerate(H.cells, 1):
+        if sum(row) % v:
+            raise NotHeffterError(f"row {k} does not sum to 0 mod {v}")
+    found = []
+    for rest in permutations(range(2, H.n + 1)):
+        if rest[0] < rest[-1] and _rows_simple(H.cells, (1, *rest), v):
+            for order in ((1, *rest), (*rest[::-1], 1)):
+                found += (order[k:] + order[:k] for k in range(H.n))
+    found.sort()
+    return found
+
+
 def _fill_schedule(m: int, n: int) -> list[tuple[int, int]]:
     """Cell order for the generator: every cell once, with early, evenly spread line closures.
 
@@ -242,7 +278,9 @@ def _generate_attempt(
     of ``values``: ``nxt[x]`` and ``prv[x]`` are the values after and before
     the signed value x, indexed like ``avail``, and 0, which is never placed,
     is the head.  A value not in ``values`` is linked to itself, so it
-    unlinks and relinks in place.  The two lists hold 2v integers for the
+    unlinks and relinks in place; the values are distinct, so only a list
+    shorter than all 2mn of them leaves one out and needs that scan over v
+    values.  The two lists hold 2v integers for the
     whole attempt, O(mn).  Placing x unlinks x, then -x; taking a cell back
     relinks them in the reverse order, and a free cell takes back its forced
     cell before its own value.  ``cursors[k]`` is free cell k's current
@@ -282,9 +320,10 @@ def _generate_attempt(
     for x, y in pairwise(chain((0,), values, (0,))):
         nxt[x] = y
         prv[y] = x
-    for x in range(-bound, bound + 1):
-        if nxt[x] is None:  # x is not in ``values``
-            nxt[x] = prv[x] = x
+    if len(values) < 2 * bound:  # a truncated list, which only tests pass
+        for x in range(-bound, bound + 1):
+            if nxt[x] is None:  # x is not in ``values``
+                nxt[x] = prv[x] = x
     cursors: list[int] = []
     nodes = 0
     k = 0

@@ -174,6 +174,14 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        "column listing: a valid class lists its rotations but not those of its reversal",
+        SEARCH,
+        "for order in ((1, *rest), (*rest[::-1], 1)):",
+        "for order in ((1, *rest),):",
+        SEARCH_TESTS,
+        "killed",
+    ),
+    Mutant(
         "certify: a repeated arc is accepted",
         "src/heffter/embedding.py",
         "if not len(arcs) == len(steps) == v - 1:",
@@ -186,6 +194,14 @@ MUTANTS = (
         "src/heffter/cli.py",
         "for key in sorted(value)]",
         "for key in value]",
+        CLI_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "_write: a raw write that takes part of the result is not retried",
+        "src/heffter/cli.py",
+        "while data:",
+        "if data:",
         CLI_TESTS,
         "killed",
     ),
@@ -227,6 +243,14 @@ MUTANTS = (
         "col_sum_ok=tuple(s[-1] == 0 for s in col_sums),",
         "col_sum_ok=tuple(True for s in col_sums),",
         CORE_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "h3 tables: the corrected first interval of P_{3,1} keeps its misprinted start",
+        "tests/paper_tables.py",
+        '(("i", (47, 55), (48, 54)),),',
+        '(("i", (47, 54), (48, 54)),),',
+        "tests/test_h3.py",
         "killed",
     ),
 )

@@ -26,7 +26,7 @@ from heffter.core import EXPAND_LIMIT, HeffterArray, from_rows
 from heffter.errors import ArrayFormatError
 from heffter.h3 import construct_raw_h3, simple_h3
 from heffter.modmath import partial_sums
-from heffter.search import find_simple_column_permutation, generate_heffter
+from heffter.search import brute_force_oracle, find_simple_column_permutation, generate_heffter
 from oracles import build_parser_reference
 from test_search import UNFIXABLE
 
@@ -500,6 +500,26 @@ def test_cli_search_found_and_none(tmp_path: Path, capsys) -> None:
         assert doc["status"] == "none_exists"
         assert doc["nodes"] == find_simple_column_permutation(grid, strategy=strategy).nodes
     assert doc["nodes"] == 720  # exhaustive: every one of the 6! orders
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_cli_search_all_writes_the_oracle_report(tmp_path: Path, n: int) -> None:
+    H = construct_raw_h3(n)
+    path = tmp_path / f"raw{n}.txt"
+    path.write_text(serialize_array(H), encoding="ascii")
+    outcome = find_simple_column_permutation(H)
+    report = {
+        "array": {"m": 3, "n": n, "v": 6 * n + 1},
+        "strategy": "backtracking",
+        "status": "found",
+        "nodes": outcome.nodes,
+        "permutation": list(outcome.permutation),
+        "reordered_is_heffter": True,
+        "reordered_is_simple": True,
+        "all_permutations": [list(p) for p in brute_force_oracle(H)],
+    }
+    expected = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert _run(["search", "--file", str(path), "--all"]) == (0, expected, "")
 
 
 def test_cli_generate_emits_parseable_array(capsys) -> None:

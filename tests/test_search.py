@@ -7,7 +7,7 @@ import tracemalloc
 from itertools import pairwise
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from heffter.arrayfile import serialize_array
@@ -20,6 +20,7 @@ from heffter.errors import (
     TooLargeError,
 )
 from heffter.h3 import construct_raw_h3, simple_h3
+from heffter.modmath import canon, is_simple
 from heffter.search import (
     NODE_BUDGET,
     _fill_schedule,
@@ -28,6 +29,7 @@ from heffter.search import (
     brute_force_oracle,
     find_simple_column_permutation,
     generate_heffter,
+    simple_column_permutations,
 )
 from oracles import generate_attempt_reference, search_backtracking_reference
 
@@ -536,3 +538,50 @@ def test_search_results_pass_the_verification_the_search_no_longer_runs() -> Non
     assert seen == {"assert", "none", "found"}
     with pytest.raises(AssertionError, match=r"^search returned \(1, 2, 3\) but re-verification failed$"):
         find_simple_column_permutation(generate_heffter(7, 3, seed=1))
+
+
+# The listing's tests come last: tests/mutants.py stops this file at its first
+# failure, and a broken generator can hang in generate_heffter below.
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40).flatmap(
+    lambda h: st.tuples(st.just(h), st.lists(st.integers(-h, h).filter(bool), min_size=1, max_size=12), st.integers(0, 12))
+))
+def test_simplicity_of_a_zero_sum_line_ignores_rotation_and_reversal(case: tuple[int, list[int], int]) -> None:
+    h, head, k = case
+    v = 2 * h + 1
+    assume(sum(head) % v)
+    line = [*head, canon(-sum(head), v)]  # any nonzero entries, closed to sum 0
+    k %= len(line)
+    assert is_simple(line[k:] + line[:k], v) == is_simple(line, v) == is_simple(line[::-1], v)
+
+
+def test_listing_refuses_a_row_that_does_not_sum_to_0() -> None:
+    # A row that does not sum to 0 can be simple in one rotation only.
+    line = (2, -2, 1)  # mod 11: sums 2, 0, 1; rotated to (1, 2, -2): 1, 3, 1
+    assert is_simple(line, 11) and not is_simple(line[2:] + line[:2], 11)
+    bad = from_rows(((1, 2, 3), (4, 5, 6), (7, 8, 9)))  # no line sums to 0 mod 19
+    with pytest.raises(NotHeffterError, match="^row 1 does not sum to 0 mod 19$"):
+        simple_column_permutations(bad)
+    with pytest.raises(TooLargeError, match="^oracle enumerates n! permutations; n=10 > 9$"):
+        simple_column_permutations(simple_h3(10))
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_listing_equals_the_oracle_on_h3(n: int) -> None:
+    for H in (construct_raw_h3(n), simple_h3(n)):
+        assert simple_column_permutations(H) == brute_force_oracle(H)
+
+
+@pytest.mark.parametrize("m", range(3, 6))
+def test_listing_equals_the_oracle_on_generated_arrays(m: int) -> None:
+    compared = 0
+    for n in range(3, 9):
+        for seed in (None, 0, 1):
+            try:
+                H = generate_heffter(m, n, seed=seed, node_budget=200_000)
+            except BudgetExceededError:  # 3 x 8 at seeds 0 and 1
+                continue
+            assert simple_column_permutations(H) == brute_force_oracle(H)
+            compared += 1
+    assert compared >= 16
+    assert simple_column_permutations(from_rows(UNFIXABLE)) == []
