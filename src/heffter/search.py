@@ -25,21 +25,22 @@ those forced closures as evenly as possible through the search.  Each
 attempt is one loop over the free cells with an explicit stack of cursors,
 so its depth is bounded by memory, not by the interpreter's recursion
 limit.  The unplaced values sit on one doubly linked list in the value
-order (Knuth's dancing links), two lists of O(mn) integers for the whole
-attempt: placing a value unlinks it and its negative in O(1), and taking it
-back relinks them.  A free cell walks that list from its cursor, its
-current value; the cells below it relink all they unlinked before control
-returns, so the cursor's successor is valid when the cell moves on.  Each
-closure is checked before anything is written: a cell that closes its line
-takes a value only if the closing residue is unplaced and neither the value
-nor its negative, then writes both cells.  The last free cell settles its
-row, its column and the corner in one scan, each value's three closing
-residues being affine in it.  A node is one unplaced value visited at a
-free cell, taken or not, so budget stops fall where a scan of every value
-puts them.  Since an
-H(m,n) exists for every m, n >= 3 and an attempt can reach each one, the
-generator's only failure is a spent node budget, and what it returns is a
-Heffter array (proofs at :func:`generate_heffter`).
+order (Knuth's dancing links), O(mn) integers for the whole attempt.  Each
+free cell but the last has one walk of that list, from its cursor, its
+current value, valid on resume since the cells below relink all they
+unlinked.  The walk checks each closure before anything is written: a cell
+that closes its line takes a value only if the closing residue is unplaced
+and neither the value nor its negative; a plain cell takes the first value.
+One write block places the value, then its residue, unlinking each and its
+negative in O(1); one take-back block relinks them in reverse.  The last
+free cell settles its row, its column and the corner in one scan, each
+value's three closing residues being affine in it.  A node is one unplaced
+value visited at a free cell, taken or not, so budget stops fall where a
+scan of every value puts them: the budget is checked at a chosen value and
+when a cell runs out.  Since an H(m,n) exists for every m, n >= 3 and an
+attempt can reach each one, the generator's only failure is a spent node
+budget, and what it returns is a Heffter array (proofs at
+:func:`generate_heffter`).
 """
 
 from __future__ import annotations
@@ -268,7 +269,8 @@ def _generate_attempt(
     In :func:`_fill_schedule` every free cell but the last is followed by at
     most one forced cell, which closes the free cell's own line, since each
     strip ends in its border cell; ``cells[k]`` is free cell k with that
-    forced cell or None.  The last free cell, (m-2, n-2), is followed by
+    forced cell or None, and the cell its take-back starts at, the forced
+    cell or else itself.  The last free cell, (m-2, n-2), is followed by
     (m-2, n-1), (m-1, n-2) and the corner.  ``avail[x]`` says whether |x| is
     unplaced, indexed by the signed value: ``avail[-x]`` is ``avail[v - x]``,
     so a residue r in -2mn..2mn is looked up as ``avail[r]``, and
@@ -280,18 +282,19 @@ def _generate_attempt(
     is the head.  A value not in ``values`` is linked to itself, so it
     unlinks and relinks in place; the values are distinct, so only a list
     shorter than all 2mn of them leaves one out and needs that scan over v
-    values.  The two lists hold 2v integers for the
-    whole attempt, O(mn).  Placing x unlinks x, then -x; taking a cell back
-    relinks them in the reverse order, and a free cell takes back its forced
-    cell before its own value.  ``cursors[k]`` is free cell k's current
-    value.  The cells below a cell relink all they unlinked before control
-    returns to it, and it relinks its own value, so the list is the one it
-    was entered with and the walk resumes at ``nxt[cursor]``.
+    values.  The two lists hold 2v integers for the whole attempt, O(mn).
+    ``cursors[k]`` is free cell k's current value.  The cells below a cell
+    relink all they unlinked before control returns to it, and it relinks
+    its own value, so the list is the one it was entered with and the walk
+    resumes at ``nxt[cursor]``.
 
-    Each closure is checked before anything is written.  A cell that closes
-    a line with residue ``need`` takes x only if need - x is unplaced and
-    neither x nor -x (``need`` is not 0 and need - 2x is not 0 mod v), and
-    then writes x and its forced cell together.  The last free cell settles
+    Each closure is checked in the one walk of a cell, before anything is
+    written: a cell that closes a line with residue ``need`` takes x only if
+    need - x is unplaced and neither x nor -x (``need`` is not 0 and need - 2x
+    is not 0 mod v); at a plain cell the check always passes.  One write
+    block runs for x, then at a closing cell for r = need - x, unlinking each
+    value, then its negative; one take-back block relinks them in the reverse
+    order and stops at x, which r never equals.  The last free cell settles
     its row, its column and the corner from three affine residues of x,
     c1 - x, c2 - x and c3 + x, with the c's read off the line sums on entry:
     it takes the first x whose three residues are unplaced and whose four
@@ -303,12 +306,13 @@ def _generate_attempt(
     """
     v = 2 * m * n + 1
     bound = half_bound(v)  # == m*n
-    cells: list[tuple[int, int, tuple[int, int] | None]] = []  # (i, j, forced cell or None)
-    for i, j in _fill_schedule(m, n)[:-4]:  # the last free cell and its three closures are settled apart
+    cells: list[tuple[int, int, tuple[int, int] | None, tuple[int, int]]] = []  # (i, j, forced, back)
+    for cell in _fill_schedule(m, n)[:-4]:  # the last free cell and its three closures are settled apart
+        i, j = cell
         if i < m - 1 and j < n - 1:
-            cells.append((i, j, None))
+            cells.append((i, j, None, cell))
         else:
-            cells[-1] = (*cells[-1][:2], (i, j))
+            cells[-1] = (*cells[-1][:2], cell, cell)
     last = len(cells)
     grid = [[0] * n for _ in range(m)]
     avail = [True] * v
@@ -346,52 +350,42 @@ def _generate_attempt(
                 grid[m - 1][n - 2 :] = r2, r3
                 return grid
         else:
-            i, j, forced = cells[k]
-            if k < len(cursors):  # back to cell k: take back its forced cell, then itself
+            i, j, forced, back = cells[k]
+            if k < len(cursors):  # back to cell k: take back the residue at its forced cell, then x
                 x = cursors.pop()
-                if forced:
-                    fi, fj = forced
-                    y = grid[fi][fj]
+                a, b = back
+                while True:
+                    y = grid[a][b]
                     avail[y] = avail[-y] = True
-                    row_sums[fi] -= y
-                    col_sums[fj] -= y
+                    row_sums[a] -= y
+                    col_sums[b] -= y
                     nxt[prv[-y]] = prv[nxt[-y]] = -y
                     nxt[prv[y]] = prv[nxt[y]] = y
-                avail[x] = avail[-x] = True
-                row_sums[i] -= x
-                col_sums[j] -= x
-                nxt[prv[-x]] = prv[nxt[-x]] = -x
-                nxt[prv[x]] = prv[nxt[x]] = x
+                    if y == x:
+                        break
+                    a, b = i, j
             else:
                 x = 0
-            if not forced:
-                if x := nxt[x]:
-                    nodes += 1
-            else:
-                fi, fj = forced
-                need = (bound - (col_sums[j] if fi == m - 1 else row_sums[i])) % v - bound
-                while x := nxt[x]:
-                    nodes += 1
-                    if avail[need - x] and need and (need - 2 * x) % v:
-                        break
+            if forced:
+                need = (bound - (col_sums[j] if forced[0] == m - 1 else row_sums[i])) % v - bound
+            while x := nxt[x]:
+                nodes += 1
+                if not forced or avail[need - x] and need and (need - 2 * x) % v:
+                    break
             if x:
                 if nodes > budget:
                     return None
-                grid[i][j] = x
-                avail[x] = avail[-x] = False
-                row_sums[i] += x
-                col_sums[j] += x
-                nxt[prv[x]], prv[nxt[x]] = nxt[x], prv[x]
-                nxt[prv[-x]], prv[nxt[-x]] = nxt[-x], prv[-x]
-                if forced:
-                    r = (need - x + bound) % v - bound
-                    grid[fi][fj] = r
-                    avail[r] = avail[-r] = False
-                    row_sums[fi] += r
-                    col_sums[fj] += r
-                    nxt[prv[r]], prv[nxt[r]] = nxt[r], prv[r]
-                    nxt[prv[-r]], prv[nxt[-r]] = nxt[-r], prv[-r]
                 cursors.append(x)
+                while True:  # write x at (i, j); a closing cell then writes its residue at the forced cell
+                    grid[i][j] = x
+                    avail[x] = avail[-x] = False
+                    row_sums[i] += x
+                    col_sums[j] += x
+                    nxt[prv[x]], prv[nxt[x]] = nxt[x], prv[x]
+                    nxt[prv[-x]], prv[nxt[-x]] = nxt[-x], prv[-x]
+                    if not forced:
+                        break
+                    (i, j), x, forced = forced, (need - x + bound) % v - bound, None
                 k += 1
                 continue
         if nodes > budget or not k:  # cell k ran out: back to the cell before it

@@ -13,10 +13,12 @@ text that replaces it, the test file that must catch it, and its class.
 Each run copies ``src/``, ``tests/`` and ``pyproject.toml`` to a fresh
 temporary directory, never editing the checkout, applies at most one
 mutant there and runs its test file with ``pytest -x``.  Each test file is
-first run once unmutated, so a kill cannot come from a broken copy.  Exits
-1 when an old text is missing or repeated (a refactor that moves a
-mutated line updates this table in the same change), when an unmutated
-run fails, when a ``killed`` mutant passes, or when pytest exits with
+first run once unmutated, so a kill cannot come from a broken copy.  A run
+that takes longer than ``TIMEOUT_S`` seconds is stopped and reported as
+``timed out`` under its mutant's or test file's name.  Exits 1 when an old
+text is missing or repeated (a refactor that moves a mutated line updates
+this table in the same change), when an unmutated run fails or times out,
+when a ``killed`` mutant passes, or when pytest times out or exits with
 anything but 0 (passed) or 1 (failed); exits 0 otherwise.
 """
 
@@ -33,6 +35,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 KINDS = ("killed", "speed-only")
+TIMEOUT_S = 60  # per pytest run; the slowest test file takes about 10 s unmutated
 
 
 class Mutant(NamedTuple):
@@ -46,26 +49,19 @@ class Mutant(NamedTuple):
 
 SEARCH = "src/heffter/search.py"
 SEARCH_TESTS = "tests/test_search.py"
-# How the generator takes a resumed cell back: its forced cell, then its own value.
-FORCED_BACK = (
-    "                if forced:\n"
-    "                    fi, fj = forced\n"
-    "                    y = grid[fi][fj]\n"
+# How the generator takes one value y at (a, b) back; a resumed cell does it
+# for the residue at its forced cell, then for its own value x.
+TAKE_BACK = (
+    "                    y = grid[a][b]\n"
     "                    avail[y] = avail[-y] = True\n"
-    "                    row_sums[fi] -= y\n"
-    "                    col_sums[fj] -= y\n"
+    "                    row_sums[a] -= y\n"
+    "                    col_sums[b] -= y\n"
     "                    nxt[prv[-y]] = prv[nxt[-y]] = -y\n"
     "                    nxt[prv[y]] = prv[nxt[y]] = y\n"
 )
-FREE_BACK = (
-    "                avail[x] = avail[-x] = True\n"
-    "                row_sums[i] -= x\n"
-    "                col_sums[j] -= x\n"
-    "                nxt[prv[-x]] = prv[nxt[-x]] = -x\n"
-    "                nxt[prv[x]] = prv[nxt[x]] = x\n"
-)
-# The check a closing cell makes before it writes x: need - x unplaced, and neither -x nor x.
-CLOSES = "if avail[need - x] and need and (need - 2 * x) % v:"
+# The check a cell makes before it writes x: a plain cell passes it; at a closing
+# cell need - x is unplaced, and neither -x nor x.
+CLOSES = "if not forced or avail[need - x] and need and (need - 2 * x) % v:"
 ARRAYFILE = "src/heffter/arrayfile.py"
 CLI_TESTS = "tests/test_cli.py"
 CORE = "src/heffter/core.py"
@@ -75,12 +71,12 @@ MUTANTS = (
     Mutant(
         "generator: values skipped by the residue filter are not counted as nodes",
         SEARCH,
+        "                nodes += 1\n"
+        f"                {CLOSES}\n"
+        "                    break\n",
+        f"                {CLOSES}\n"
         "                    nodes += 1\n"
-        f"                    {CLOSES}\n"
-        "                        break\n",
-        f"                    {CLOSES}\n"
-        "                        nodes += 1\n"
-        "                        break\n",
+        "                    break\n",
         SEARCH_TESTS,
         "killed",
     ),
@@ -104,16 +100,18 @@ MUTANTS = (
     Mutant(
         "generator: a resumed cell restarts its walk at the head",
         SEARCH,
-        "                nxt[prv[x]] = prv[nxt[x]] = x\n            else:\n                x = 0\n",
-        "                nxt[prv[x]] = prv[nxt[x]] = x\n            x = 0\n",
+        "                    a, b = i, j\n            else:\n                x = 0\n",
+        "                    a, b = i, j\n            x = 0\n",
         SEARCH_TESTS,
         "killed",
     ),
     Mutant(
-        "generator: the free cell is taken back before its forced cells",
+        "generator: a resumed cell takes back x before the residue at its forced cell",
         SEARCH,
-        FORCED_BACK + FREE_BACK,
-        FREE_BACK + FORCED_BACK,
+        "                a, b = back\n                while True:\n" + TAKE_BACK
+        + "                    if y == x:\n                        break\n                    a, b = i, j\n",
+        "                a, b = i, j\n                while True:\n" + TAKE_BACK
+        + "                    if (a, b) == back:\n                        break\n                    a, b = back\n",
         SEARCH_TESTS,
         "killed",
     ),
@@ -121,7 +119,7 @@ MUTANTS = (
         "generator: the residue filter of a closing cell is off",
         SEARCH,
         CLOSES,
-        "if need and (need - 2 * x) % v:",
+        "if not forced or need and (need - 2 * x) % v:",
         SEARCH_TESTS,
         "killed",
     ),
@@ -129,7 +127,7 @@ MUTANTS = (
         "generator: a closing cell takes x whose residue is -x",
         SEARCH,
         CLOSES,
-        "if avail[need - x] and (need - 2 * x) % v:",
+        "if not forced or avail[need - x] and (need - 2 * x) % v:",
         SEARCH_TESTS,
         "killed",
     ),
@@ -137,7 +135,7 @@ MUTANTS = (
         "generator: a closing cell takes x whose residue is x",
         SEARCH,
         CLOSES,
-        "if avail[need - x] and need:",
+        "if not forced or avail[need - x] and need:",
         SEARCH_TESTS,
         "killed",
     ),
@@ -256,8 +254,11 @@ MUTANTS = (
 )
 
 
-def run_tests(test: str, mutant: Mutant | None = None) -> int:
-    """Run ``test`` with ``pytest -x`` in a temporary copy, with ``mutant`` applied; return pytest's exit code."""
+def run_tests(test: str, mutant: Mutant | None = None) -> int | None:
+    """Run ``test`` with ``pytest -x`` in a temporary copy, with ``mutant`` applied.
+
+    Returns pytest's exit code, or None when the run took longer than ``TIMEOUT_S`` seconds and was stopped.
+    """
     with tempfile.TemporaryDirectory(prefix="heffter-mutant-") as tmp:
         copy = Path(tmp)
         for part in ("src", "tests"):
@@ -268,7 +269,12 @@ def run_tests(test: str, mutant: Mutant | None = None) -> int:
             path.write_text(path.read_text().replace(mutant.old, mutant.new))
         env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
         argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", test]
-        return subprocess.run(argv, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+        try:
+            return subprocess.run(
+                argv, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT_S
+            ).returncode
+        except subprocess.TimeoutExpired:
+            return None
 
 
 def main() -> int:
@@ -282,13 +288,16 @@ def main() -> int:
         return 1
     for test in dict.fromkeys(m.test for m in MUTANTS):
         code = run_tests(test)
-        if code != 0:
+        if code is None:
+            print(f"BROKEN     {test} timed out unmutated after {TIMEOUT_S} s")
+            bad += 1
+        elif code != 0:
             print(f"BROKEN     {test} fails unmutated (pytest exit {code})")
             bad += 1
     for mutant in MUTANTS:
         start = time.perf_counter()
         code = run_tests(mutant.test, mutant)
-        verdict = {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
+        verdict = "timed out" if code is None else {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
         ok = verdict == "killed" or (verdict == "survived" and mutant.kind == "speed-only")
         bad += not ok
         print(f"{'ok' if ok else 'FAIL':10} {mutant.name}: {verdict} in {time.perf_counter() - start:.1f} s ({mutant.kind})")

@@ -416,6 +416,35 @@ def test_generate_attempt_stops_where_the_reference_does(m: int) -> None:
                 assert generate_attempt_reference(m, n, values, budget) is None
 
 
+# Shapes that backtrack far past the 3,000 nodes above, as (m, n, seed, the
+# first-grid budget or None when the cap finds no grid, cap).
+DEEP_ATTEMPTS = (
+    (10, 10, 0, 141_375, 150_000),
+    (5, 12, 0, 17_806, 20_000),
+    (5, 12, 1, 5_740, 20_000),
+    (12, 5, 0, 1_490, 20_000),
+    (9, 9, 0, None, 20_000),
+    (20, 20, 0, None, 20_000),
+    (40, 40, 0, None, 20_000),
+)
+
+
+@pytest.mark.parametrize("m, n, seed, stop, cap", DEEP_ATTEMPTS)
+def test_generate_attempt_backtracks_far_where_the_reference_does(
+    m: int, n: int, seed: int, stop: int | None, cap: int
+) -> None:
+    # The same grid or None at the first-grid budget, one node below it, and the cap.
+    values = _value_order(m, n, seed)
+    expected = {cap: generate_attempt_reference(m, n, values, cap)}
+    if stop is not None:
+        expected[stop] = generate_attempt_reference(m, n, values, stop)
+        expected[stop - 1] = generate_attempt_reference(m, n, values, stop - 1)
+        assert expected[stop] is not None and expected[stop - 1] is None
+    assert (expected[cap] is None) == (stop is None)
+    for budget, grid in expected.items():
+        assert _generate_attempt(m, n, values, budget) == grid
+
+
 def test_generate_attempt_runs_out_where_the_reference_does() -> None:
     # Every budget of the four-magnitude list, which no budget completes,
     # and of two nine-magnitude orders, past their first grids (9 and 128).
