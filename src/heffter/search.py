@@ -11,6 +11,7 @@ The pruned depth-first search therefore finds the lexicographically least
 valid permutation, or proves that none exists.  A node is one unused
 column tried at one depth.  The search recurses one frame per column, so n
 near 1000 still ends in RecursionError, a known defect (ROADMAP item 1).
+The permutation is assembled as the recursion returns, last column first.
 Every valid permutation, the list ``search --all`` prints, comes from
 :func:`simple_column_permutations`: when every row sums to 0, simplicity
 depends only on the cyclic column order up to reversal, so it checks
@@ -22,24 +23,24 @@ backtracking over signed value placements on the free (m-1) x (n-1)
 subgrid; the last cell of every row and column is forced by a zero-sum
 constraint the moment its line fills, following a schedule that spreads
 those forced closures as evenly as possible through the search.  Each
-attempt is one loop over the free cells with an explicit stack of cursors,
-so its depth is bounded by memory, not by the interpreter's recursion
-limit.  The unplaced values sit on one doubly linked list in the value
-order (Knuth's dancing links), O(mn) integers for the whole attempt.  Each
-free cell but the last has one walk of that list, from its cursor, its
-current value, valid on resume since the cells below relink all they
-unlinked.  The walk checks each closure before anything is written: a cell
-that closes its line takes a value only if the closing residue is unplaced
-and neither the value nor its negative; a plain cell takes the first value.
-One write block places the value, then its residue, unlinking each and its
-negative in O(1); one take-back block relinks them in reverse.  The last
-free cell settles its row, its column and the corner in one scan, each
-value's three closing residues being affine in it.  A node is one unplaced
-value visited at a free cell, taken or not, so budget stops fall where a
-scan of every value puts them: the budget is checked at a chosen value and
-when a cell runs out.  Since an H(m,n) exists for every m, n >= 3 and an
-attempt can reach each one, the generator's only failure is a spent node
-budget, and what it returns is a Heffter array (proofs at
+attempt is one loop over the free cells that keeps its path in the grid, so
+its depth is bounded by memory, not by the interpreter's recursion limit.
+The unplaced values sit on one doubly linked list in the value order
+(Knuth's dancing links), O(mn) integers for the whole attempt.  Each free
+cell but the last has one walk of that list, from the value in its grid
+cell, valid on resume since no other cell writes there and the cells below
+relink all they unlinked.  The walk checks each closure before anything is
+written: a cell that closes its line takes a value only if the closing
+residue is unplaced and neither the value nor its negative; a plain cell
+takes the first value.  One write block places the value, then its residue,
+unlinking each and its negative in O(1); one take-back block relinks them
+in reverse.  The last free cell settles its row, its column and the corner
+in one scan, each value's three closing residues being affine in it.  A
+node is one unplaced value visited at a free cell, taken or not, so budget
+stops fall where a scan of every value puts them: the budget is checked at
+a chosen value and when a cell runs out.  Since an H(m,n) exists for every
+m, n >= 3 and an attempt can reach each one, the generator's only failure
+is a spent node budget, and what it returns is a Heffter array (proofs at
 :func:`generate_heffter`).
 """
 
@@ -75,14 +76,13 @@ def _search_backtracking(H: HeffterArray, budget: int) -> tuple[tuple[int, ...] 
     v = H.modulus
     columns = [None, *zip(*H.cells)]  # columns[col] holds column col's entries, top to bottom
     nodes = 0
-    prefix: list[int] = []
     left = list(range(1, H.n + 1))  # the unused columns, ascending
     seen: list[set[int]] = [set() for _ in H.cells]
 
-    def extend(sums: list[int]) -> tuple[int, ...] | None:
+    def extend(sums: list[int]) -> list[int] | None:  # the columns chosen from this depth down, last first
         nonlocal nodes
         if not left:
-            return tuple(prefix)
+            return []
         for k in range(len(left)):  # left is whole again before each index is read
             col = left[k]
             nodes += 1
@@ -98,17 +98,17 @@ def _search_backtracking(H: HeffterArray, budget: int) -> tuple[tuple[int, ...] 
                 for x, seen_i in zip(new, seen):
                     seen_i.add(x)
                 del left[k]
-                prefix.append(col)
                 found = extend(new)
                 if found is not None:
+                    found.append(col)
                     return found
-                prefix.pop()
                 left.insert(k, col)
                 for x, seen_i in zip(new, seen):
                     seen_i.remove(x)
         return None
 
-    return extend([0] * len(seen)), nodes
+    found = extend([0] * len(seen))
+    return None if found is None else tuple(reversed(found)), nodes
 
 
 def _rows_simple(rows: Sequence[Sequence[int]], order: Sequence[int], v: int) -> bool:
@@ -283,10 +283,10 @@ def _generate_attempt(
     unlinks and relinks in place; the values are distinct, so only a list
     shorter than all 2mn of them leaves one out and needs that scan over v
     values.  The two lists hold 2v integers for the whole attempt, O(mn).
-    ``cursors[k]`` is free cell k's current value.  The cells below a cell
-    relink all they unlinked before control returns to it, and it relinks
-    its own value, so the list is the one it was entered with and the walk
-    resumes at ``nxt[cursor]``.
+    The grid holds each free cell's value: x is cell k's, 0 before its first,
+    read back from (i, j) when cell k + 1 runs out, as only cell k writes there.
+    The cells below relink all they unlinked, and cell k its own value, so the
+    walk resumes at ``nxt[x]`` on the list that cell k was entered with.
 
     Each closure is checked in the one walk of a cell, before anything is
     written: a cell that closes a line with residue ``need`` takes x only if
@@ -328,15 +328,13 @@ def _generate_attempt(
         for x in range(-bound, bound + 1):
             if nxt[x] is None:  # x is not in ``values``
                 nxt[x] = prv[x] = x
-    cursors: list[int] = []
     nodes = 0
-    k = 0
+    k = x = 0
     while True:
         if k == last:  # x closes row m-2 with c1 - x, column n-2 with c2 - x, then column n-1 with c3 + x
             c1 = (bound - row_sums[m - 2]) % v - bound  # canonical residues, in -bound..bound
             c2 = (bound - col_sums[n - 2]) % v - bound
             c3 = (bound - col_sums[n - 1] - c1) % v - bound
-            x = 0
             while x := nxt[x]:
                 nodes += 1
                 if not (avail[c1 - x] and avail[c2 - x] and avail[c3 + x]):
@@ -351,8 +349,7 @@ def _generate_attempt(
                 return grid
         else:
             i, j, forced, back = cells[k]
-            if k < len(cursors):  # back to cell k: take back the residue at its forced cell, then x
-                x = cursors.pop()
+            if x:  # back to cell k: take back the residue at its forced cell, then x
                 a, b = back
                 while True:
                     y = grid[a][b]
@@ -364,8 +361,6 @@ def _generate_attempt(
                     if y == x:
                         break
                     a, b = i, j
-            else:
-                x = 0
             if forced:
                 need = (bound - (col_sums[j] if forced[0] == m - 1 else row_sums[i])) % v - bound
             while x := nxt[x]:
@@ -375,7 +370,6 @@ def _generate_attempt(
             if x:
                 if nodes > budget:
                     return None
-                cursors.append(x)
                 while True:  # write x at (i, j); a closing cell then writes its residue at the forced cell
                     grid[i][j] = x
                     avail[x] = avail[-x] = False
@@ -387,10 +381,12 @@ def _generate_attempt(
                         break
                     (i, j), x, forced = forced, (need - x + bound) % v - bound, None
                 k += 1
+                x = 0
                 continue
-        if nodes > budget or not k:  # cell k ran out: back to the cell before it
+        if nodes > budget or not k:  # cell k ran out: back to the cell before it, at its value
             return None
         k -= 1
+        x = grid[cells[k][0]][cells[k][1]]
 
 
 def generate_heffter(

@@ -10,16 +10,17 @@ text that replaces it, the test file that must catch it, and its class.
   can see.  Only the benchmark can tell it apart, so it is run and reported
   but may pass.
 
-Each run copies ``src/``, ``tests/`` and ``pyproject.toml`` to a fresh
-temporary directory, never editing the checkout, applies at most one
-mutant there and runs its test file with ``pytest -x``.  Each test file is
-first run once unmutated, so a kill cannot come from a broken copy.  A run
-that takes longer than ``TIMEOUT_S`` seconds is stopped and reported as
-``timed out`` under its mutant's or test file's name.  Exits 1 when an old
-text is missing or repeated (a refactor that moves a mutated line updates
-this table in the same change), when an unmutated run fails or times out,
-when a ``killed`` mutant passes, or when pytest times out or exits with
-anything but 0 (passed) or 1 (failed); exits 0 otherwise.
+Each run copies ``src/``, ``tests/``, ``pyproject.toml`` and ``README.md``
+(whose example a test runs) to a fresh temporary directory, never editing
+the checkout, applies at most one mutant there and runs its test file with
+``pytest -x``.  Each test file is first run once unmutated, so a kill
+cannot come from a broken copy.  A run that takes longer than
+``TIMEOUT_S`` seconds is stopped and reported as ``timed out`` under its
+mutant's or test file's name.  Exits 1 when an old text is missing or
+repeated (a refactor that moves a mutated line updates this table in the
+same change), when an unmutated run fails or times out, when a ``killed``
+mutant passes, or when pytest times out or exits with anything but 0
+(passed) or 1 (failed); exits 0 otherwise.
 """
 
 from __future__ import annotations
@@ -100,8 +101,16 @@ MUTANTS = (
     Mutant(
         "generator: a resumed cell restarts its walk at the head",
         SEARCH,
-        "                    a, b = i, j\n            else:\n                x = 0\n",
-        "                    a, b = i, j\n            x = 0\n",
+        "                    a, b = i, j\n            if forced:\n",
+        "                    a, b = i, j\n            x = 0\n            if forced:\n",
+        SEARCH_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "generator: a cell that runs out resumes the cell before it at the head",
+        SEARCH,
+        "        x = grid[cells[k][0]][cells[k][1]]\n",
+        "        x = 0\n",
         SEARCH_TESTS,
         "killed",
     ),
@@ -168,6 +177,14 @@ MUTANTS = (
         SEARCH,
         "                if x in seen_i:\n                    break",
         "                if False:\n                    break",
+        SEARCH_TESTS,
+        "killed",
+    ),
+    Mutant(
+        "column search: the permutation is returned in unwind order",
+        SEARCH,
+        "tuple(reversed(found))",
+        "tuple(found)",
         SEARCH_TESTS,
         "killed",
     ),
@@ -263,7 +280,8 @@ def run_tests(test: str, mutant: Mutant | None = None) -> int | None:
         copy = Path(tmp)
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, copy / part, ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy(ROOT / "pyproject.toml", copy)
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / name, copy)
         if mutant is not None:
             path = copy / mutant.file
             path.write_text(path.read_text().replace(mutant.old, mutant.new))

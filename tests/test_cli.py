@@ -327,6 +327,16 @@ def test_cli_an_input_error_leaves_stdout_to_the_caller(tmp_path: Path) -> None:
     assert (done.returncode, done.stdout) == (0, "2 and stdout still writes\n")
 
 
+def test_the_readme_library_example_runs(tmp_path: Path) -> None:
+    """The README's one ```python block, run as written in a child that imports this heffter."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    _, code = readme.split("```python\n")
+    code = code.split("\n```", 1)[0]
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_CHILD_ENV, capture_output=True, text=True)
+    refusal = "a 3 x 50000000 array would list 150000000 integers, more than 2000000\n"
+    assert (done.returncode, done.stdout, done.stderr) == (0, refusal, "")
+
+
 def test_console_script_parses() -> None:
     """``bash -n`` on tests/console_script.sh, so a syntax error fails here before it fails in CI."""
     bash = shutil.which("bash")
