@@ -23,17 +23,18 @@ m + n base walks (the current-graph argument; Gross and Tucker, *Topological
 Graph Theory*, ch. 4; Archdeacon, Electron. J. Combin. 22 (2015) #P1.74).
 The translate by t of a base step a -> b is the arc (a + t, b + t), so arc
 (u, w) lies on as many faces as there are base steps of difference w - u.
-:func:`certify` counts the steps once per color, rows[d] and cols[d]: arcs
-are exact iff rows[d] + cols[d] = 1 for each nonzero residue d of Z_v (and
-no step is 0), and a color covers each pair once iff its steps {d, -d} hit
-each class once.  A corner a -> u -> b translates to the corner
-a - u -> 0 -> b - u at vertex 0, and succ_{u+t}(a+t) = succ_u(a) + t, so the
-rotation at u is the one at 0 moved by +u and one (v-1)-cycle at vertex 0
-certifies every vertex.  The counts are kept only for the differences that
-occur, and every scan stops within them, so :func:`certify` takes time and
-memory in proportion to the base faces (2mn steps for an m x n array), not
-to v.  Its independent oracle, which expands all v(m+n) faces and computes
-the Euler data from them, lives with the tests in ``tests/oracles.py``.
+:func:`derive_rotations` is the one arc check: arcs are exact iff the base
+steps of both colors hit each nonzero residue d of Z_v once and none is 0.
+A color covers each pair once iff its steps {d, -d} hit each class once.
+A corner a -> u -> b translates to the corner a - u -> 0 -> b - u at vertex
+0, and succ_{u+t}(a+t) = succ_u(a) + t, so the rotation at u is the one at
+0 moved by +u and one (v-1)-cycle at vertex 0 certifies every vertex;
+:func:`certify` is those rotations plus Euler's formula.  The step counts
+are kept only for the differences that occur, and every scan stops within
+them, so both take time and memory in proportion to the base faces (2mn
+steps for an m x n array), not to v.  Their independent oracle, which
+expands all v(m+n) faces and computes the Euler data from them, lives with
+the tests in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 from .core import HeffterArray, _check_type, _grid
 from .errors import (
-    InconsistentRotationError,
     InvalidEntryError,
     ModulusMismatchError,
     NotAnEmbeddingError,
@@ -217,35 +217,33 @@ def build_face_set(H: HeffterArray) -> FaceSet:
 
 
 def derive_rotations(F: FaceSet) -> CycleSystem:
-    """Reconstruct the vertex rotations from the corners of the base faces.
+    """Check that every arc lies on one face, then reconstruct the vertex rotations.
 
-    A corner a -> u -> b of a face sets successor_u(a) = b; moved to vertex
-    0 it sets successor_0(a - u) = b - u, and every translate of the corner
-    sets the same relative successor.  The map at vertex 0 must be a
-    permutation of the v-1 neighbors (else the faces are inconsistent) and a
-    single cycle (else every vertex is a pinch point and the complex is a
-    pseudosurface, not a surface).  That cycle is the one base walk of the
+    Arcs are exact iff the base steps are v-1 distinct nonzero residues, and
+    then the successor map at vertex 0, successor_0(a - u) = b - u for each
+    base corner a -> u -> b, is a permutation: its keys are the negated steps
+    and its values the steps (module docstring).  It must also be a single
+    cycle, else every vertex is a pinch point and the complex is a
+    pseudosurface, not a surface.  That cycle is the one base walk of the
     result, so its translate by u, the u-th cycle, is the rotation at u.
-    Raises InvalidEntryError when F is not a FaceSet.
+    Raises InvalidEntryError when F is not a FaceSet, then NotAnEmbeddingError
+    for a zero step or the least d whose arc (0, d) is not on one face, then
+    PinchPointError.
     """
     _check_type(F, FaceSet)
     v = F.v
-    succ: dict[int, int] = {}
-    for walk in chain(F.rows.bases, F.cols.bases):
-        k = len(walk)
-        for idx, u in enumerate(walk):
-            a = (walk[idx - 1] - u) % v
-            if a in succ:
-                raise InconsistentRotationError(
-                    f"two faces define the corner after ({a},0)"
-                )
-            succ[a] = (walk[(idx + 1) % k] - u) % v
-    # Keys are the negated base steps and values the steps, so v-1 distinct
-    # nonzero keys (no loop step) make the values the v-1 neighbors as well.
-    if len(succ) != v - 1 or 0 in succ:
-        raise InconsistentRotationError(
-            "successor map at vertex 0 is not a permutation of its neighbors"
-        )
+    bases = F.rows.bases + F.cols.bases
+    steps = _steps(v, bases)
+    arcs = Counter(steps)
+    if arcs[0]:
+        raise NotAnEmbeddingError("degenerate arc at vertex 0")
+    if not len(arcs) == len(steps) == v - 1:  # some d is not one step; each d before the least is one
+        d = 1
+        while arcs[d] == 1:
+            d += 1
+        raise NotAnEmbeddingError(f"arc (0,{d}) lies on {arcs[d]} faces, expected exactly 1")
+    succ = {(walk[idx - 1] - u) % v: (walk[(idx + 1) % len(walk)] - u) % v
+            for walk in bases for idx, u in enumerate(walk)}
     rotation = orbit(succ, next(iter(succ)))
     if len(rotation) != v - 1:
         raise PinchPointError(
@@ -292,30 +290,17 @@ class EmbeddingCertificate:
 def certify(F: FaceSet) -> EmbeddingCertificate:
     """Certify a face set from its base faces and compute the genus of its surface.
 
-    Reads every step check off the base steps (module docstring): a zero step
-    is a degenerate arc, rows[d] + cols[d] faces lie on arc (0, d), and the
-    row steps' pair condition is the one-face-per-color flag.  Then the
-    rotations are checked on the base corners and Euler's formula gives the
-    genus, compared with the closed form for 3 x n inputs.  The genus needs no
-    check: once every arc lies on one face and every rotation is one cycle, the
-    faces are the face-tracing orbits of a rotation system of the connected K_v,
-    a closed orientable surface, so chi = 2 - 2g, g >= 0.  Raises the oracle's
-    exceptions in the oracle's order, with witnesses at vertex 0, after an
-    InvalidEntryError when F is not a FaceSet.
+    :func:`derive_rotations` checks the arcs and the rotations; then Euler's
+    formula gives the genus, compared with the closed form for 3 x n inputs,
+    and the row steps' pair condition is the one-face-per-color flag.  The
+    genus needs no check: once every arc lies on one face and every rotation
+    is one cycle, the faces are the face-tracing orbits of a rotation system
+    of the connected K_v, a closed orientable surface, so chi = 2 - 2g,
+    g >= 0.  Raises the exceptions of :func:`derive_rotations`, which are the
+    oracle's in the oracle's order, with witnesses at vertex 0.
     """
-    _check_type(F, FaceSet)
+    derive_rotations(F)
     v = F.v
-    rows = _steps(v, F.rows.bases)
-    steps = rows + _steps(v, F.cols.bases)
-    arcs = Counter(steps)
-    if arcs[0]:
-        raise NotAnEmbeddingError("degenerate arc at vertex 0")
-    if not len(arcs) == len(steps) == v - 1:  # some d is not one step; each d before the least is one
-        d = 1
-        while arcs[d] == 1:
-            d += 1
-        raise NotAnEmbeddingError(f"arc (0,{d}) lies on {arcs[d]} faces, expected exactly 1")
-    derive_rotations(F)  # raises on pinch points / inconsistencies
     edges = v * (v - 1) // 2
     euler = v - edges + F.face_count
     genus = (2 - euler) // 2
@@ -331,6 +316,6 @@ def certify(F: FaceSet) -> EmbeddingCertificate:
         euler_characteristic=euler,
         genus=genus,
         # cols[d] + cols[-d] = 2 - rows[d] - rows[-d] once arcs are exact: the colors pass together.
-        edge_bicolor_ok=_pairs_once(rows, v),
+        edge_bicolor_ok=_pairs_once(_steps(v, F.rows.bases), v),
         genus_matches_formula=matches,
     )

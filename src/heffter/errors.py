@@ -50,11 +50,10 @@ class NotHeffterError(HeffterError):
 
 
 class NotAnEmbeddingError(HeffterError):
-    """The face set fails arc-exactness: an arc is a loop or lies on no face or on several."""
+    """The face set fails arc-exactness: an arc is a loop or lies on no face or on several.
 
-
-class InconsistentRotationError(HeffterError):
-    """A vertex's corner-successor map is not a permutation of its neighbors."""
+    With exact arcs every vertex's corner-successor map is a permutation of its neighbors.
+    """
 
 
 class PinchPointError(HeffterError):

@@ -221,8 +221,8 @@ def simple_column_permutations(H: HeffterArray) -> list[tuple[int, ...]]:
     _check_type(H, HeffterArray)
     check_oracle_size(H.n)
     v = H.modulus
-    for k, row in enumerate(H.cells, 1):
-        if sum(row) % v:
+    for k, ok in enumerate(verify_heffter(H).row_sum_ok, 1):
+        if not ok:
             raise NotHeffterError(f"row {k} does not sum to 0 mod {v}")
     found = []
     for rest in permutations(range(2, H.n + 1)):

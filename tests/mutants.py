@@ -205,6 +205,14 @@ MUTANTS = (
         "killed",
     ),
     Mutant(
+        "rotations: a zero step is accepted",
+        "src/heffter/embedding.py",
+        "if arcs[0]:",
+        "if False:",
+        "tests/test_embedding.py",
+        "killed",
+    ),
+    Mutant(
         "_encode: object keys are written unsorted",
         "src/heffter/cli.py",
         "for key in sorted(value)]",

@@ -32,7 +32,6 @@ from heffter.core import HeffterArray
 from heffter.embedding import EmbeddingCertificate, FaceSet, Walk, orbit
 from heffter.errors import (
     BudgetExceededError,
-    InconsistentRotationError,
     NoCompatibleConstructionError,
     NotAnEmbeddingError,
     NotHeffterError,
@@ -116,13 +115,13 @@ def _successors_exhaustive(F: FaceSet) -> tuple[dict[int, int], ...]:
         for idx, u in enumerate(walk):
             a = walk[idx - 1]
             if a in succ[u]:
-                raise InconsistentRotationError(
+                raise NotAnEmbeddingError(
                     f"two faces define the corner after ({a},{u})"
                 )
             succ[u][a] = walk[(idx + 1) % k]
     for u in range(v):
         if len(succ[u]) != v - 1 or len(set(succ[u].values())) != v - 1:
-            raise InconsistentRotationError(
+            raise NotAnEmbeddingError(
                 f"successor map at vertex {u} is not a permutation of its neighbors"
             )
         length = len(orbit(succ[u], next(iter(succ[u]))))

@@ -24,7 +24,6 @@ from heffter.embedding import (
 from heffter.errors import (
     BudgetExceededError,
     HeffterError,
-    InconsistentRotationError,
     InvalidEntryError,
     ModulusMismatchError,
     NoCompatibleConstructionError,
@@ -32,7 +31,6 @@ from heffter.errors import (
     NotHeffterError,
     NotSimpleError,
     OutOfRangeError,
-    PinchPointError,
 )
 from heffter.core import HeffterArray, from_rows, reorder_columns, transpose
 from heffter.h3 import H34, construct_raw_h3, simple_h3
@@ -209,8 +207,12 @@ def test_reversed_face_breaks_rotation_consistency() -> None:
         rows=CycleSystem(rows.v, (tuple(reversed(rows.bases[0])),) + rows.bases[1:]),
         cols=face_set.cols,
     )
-    with pytest.raises((InconsistentRotationError, PinchPointError)):
+    # Reversing a row face negates its steps, which the column faces already take.
+    with pytest.raises(NotAnEmbeddingError, match=r"^arc \(0,\d+\) lies on [02] faces") as rotations:
         derive_rotations(flipped)
+    with pytest.raises(NotAnEmbeddingError) as certified:
+        certify(flipped)
+    assert str(rotations.value) == str(certified.value)
 
 
 def test_certificate_euler_data() -> None:
@@ -426,20 +428,15 @@ def test_quotient_witnesses_are_given_at_vertex_0() -> None:
     rows, cols = face_set.rows, face_set.cols
     dropped = FaceSet(CycleSystem(rows.v, rows.bases[1:]), cols)
     steps = {(b - a) % 19 for a, b in zip(rows.bases[0], rows.bases[0][1:] + rows.bases[0][:1])}
-    with pytest.raises(NotAnEmbeddingError, match=rf"arc \(0,{min(steps)}\) lies on 0 faces"):
-        certify(dropped)
-    with pytest.raises(InconsistentRotationError, match="at vertex 0"):
-        derive_rotations(dropped)
     doubled = FaceSet(CycleSystem(rows.v, rows.bases + rows.bases[:1]), cols)
-    with pytest.raises(NotAnEmbeddingError, match="lies on 2 faces"):
-        certify(doubled)
-    with pytest.raises(InconsistentRotationError, match=r"corner after \(\d+,0\)"):
-        derive_rotations(doubled)
     looped = FaceSet(CycleSystem(rows.v, ((0, *rows.bases[0]),) + rows.bases[1:]), cols)
-    with pytest.raises(NotAnEmbeddingError, match="degenerate arc at vertex 0"):
-        certify(looped)
-    with pytest.raises(InconsistentRotationError, match="not a permutation"):
-        derive_rotations(looped)
+    for check in (certify, derive_rotations):  # one arc check, in derive_rotations
+        with pytest.raises(NotAnEmbeddingError, match=rf"arc \(0,{min(steps)}\) lies on 0 faces"):
+            check(dropped)
+        with pytest.raises(NotAnEmbeddingError, match="lies on 2 faces"):
+            check(doubled)
+        with pytest.raises(NotAnEmbeddingError, match="degenerate arc at vertex 0"):
+            check(looped)
 
 
 def test_degenerate_arc_witness_is_given_at_vertex_0() -> None:
@@ -461,6 +458,15 @@ def _outcome(fn, arg):
         return fn(arg)
     except HeffterError as exc:
         return type(exc)
+
+
+def _failure(fn, arg):
+    """None when a check passes, else the class and message of the HeffterError it raised."""
+    try:
+        fn(arg)
+    except HeffterError as exc:
+        return type(exc), str(exc)
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -516,14 +522,19 @@ def _face_sets(draw) -> FaceSet:
 def test_quotient_checks_match_exhaustive_oracle(face_set: FaceSet) -> None:
     v = face_set.v
     cert = _outcome(certify, face_set)
-    assert cert == _outcome(certify_exhaustive, face_set)
+    exhaustive = _outcome(certify_exhaustive, face_set)
+    assert cert == exhaustive
     if isinstance(cert, EmbeddingCertificate):  # a closed orientable surface
         assert cert.euler_characteristic == 2 - 2 * cert.genus and cert.genus >= 0
+    # derive_rotations against the oracle sequence: certify_exhaustive's arc stage, then
+    # _successors_exhaustive (the Euler data certify_exhaustive adds never raise).
     rotations = _outcome(derive_rotations, face_set)
-    oracle = _outcome(_successors_exhaustive, face_set)
-    if isinstance(oracle, tuple):
+    if isinstance(exhaustive, EmbeddingCertificate):
+        oracle = _successors_exhaustive(face_set)
         assert [_successor_map(cycle) for cycle in rotations] == list(oracle)
     else:
-        assert rotations == oracle
+        assert rotations == exhaustive
+    # certify is derive_rotations plus Euler: the same failure, message and all.
+    assert _failure(certify, face_set) == _failure(derive_rotations, face_set)
     for system in (face_set.rows, face_set.cols):
         assert exact_pair_coverage(system) == _pairs_covered_once(system, v)
